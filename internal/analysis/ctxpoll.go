@@ -12,6 +12,9 @@ import (
 // stuck solve is most expensive (the serve admission gate holds a slot
 // until the solver yields).
 var loopPackages = []string{
+	// The coordinate engine owns the claiming loop every coordinate
+	// solver runs.
+	"internal/coord",
 	"internal/core",
 	"internal/kaczmarz",
 	"internal/lsq",

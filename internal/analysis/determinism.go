@@ -12,6 +12,9 @@ import (
 // because replays are bit-exact; one stray wall-clock read or
 // math/rand draw silently breaks every replay-based test downstream.
 var detPackages = []string{
+	// The coordinate engine and its samplers: the direction at global
+	// index j must stay a pure function of (seed, j).
+	"internal/coord",
 	"internal/core",
 	"internal/kaczmarz",
 	"internal/lsq",

@@ -373,10 +373,10 @@ func TestMethodTableRows(t *testing.T) {
 func TestHotpathGridShape(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	rows := r.Hotpath(2, []int{1, 2}, []int{1, 0})
-	// 3 samplers × 2 worker counts × (2 chunk sizes at the default
-	// precision/kernel + 3 precision×kernel ablations at auto chunk).
-	if len(rows) != 30 {
-		t.Fatalf("hotpath grid has %d rows, want 30", len(rows))
+	// 2 samplers × 2 worker counts × (2 chunk sizes at f64 + f32 at
+	// auto chunk).
+	if len(rows) != 12 {
+		t.Fatalf("hotpath grid has %d rows, want 12", len(rows))
 	}
 	samplers := map[string]bool{}
 	cells := map[[2]string]bool{}
@@ -390,15 +390,13 @@ func TestHotpathGridShape(t *testing.T) {
 			t.Fatalf("hotpath row missing bytes/iter estimate: %+v", row)
 		}
 	}
-	for _, want := range []string{"uniform", "weighted-alias", "weighted-cdf"} {
+	for _, want := range []string{"uniform", "weighted-alias"} {
 		if !samplers[want] {
 			t.Fatalf("hotpath grid missing sampler %q", want)
 		}
 	}
 	kernel := sparse.KernelName()
-	for _, want := range [][2]string{
-		{"f64", kernel}, {"f64", "scalar"}, {"f32", kernel}, {"f32", "scalar"},
-	} {
+	for _, want := range [][2]string{{"f64", kernel}, {"f32", kernel}} {
 		if !cells[want] {
 			t.Fatalf("hotpath grid missing precision×kernel cell %v", want)
 		}

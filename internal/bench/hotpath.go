@@ -10,21 +10,19 @@ import (
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
-// HotpathRow is one cell of the sampler × workers × chunk × precision ×
-// kernel grid that measures the rebuilt inner loop: O(1) alias sampling
-// against the legacy binary-search CDF, chunked iteration claiming
-// against one-CAS-per-iteration, float32 value storage against float64,
-// and the unrolled row kernels against the scalar ablation baseline —
-// all at fixed work. The BENCH_hotpath.json artifact CI regenerates on
-// every PR is the serialized grid.
+// HotpathRow is one cell of the sampler × workers × chunk × precision
+// grid that measures the inner loop: uniform against O(1) alias-weighted
+// sampling, chunked iteration claiming against one-CAS-per-iteration,
+// and float32 value storage against float64 — all at fixed work. The
+// BENCH_hotpath.json artifact CI regenerates on every PR is the
+// serialized grid.
 type HotpathRow struct {
-	// Sampler is uniform | weighted-alias | weighted-cdf.
+	// Sampler is uniform | weighted-alias.
 	Sampler string `json:"sampler"`
 	// Precision is the matrix value-storage width: f64 | f32.
 	Precision string `json:"precision"`
-	// Kernel names the row-dot/axpy dispatch in effect: "scalar" is the
-	// ablation baseline, otherwise the build's unrolled variant
-	// ("unroll4", or "unroll8-v3" under GOAMD64=v3).
+	// Kernel names the build's unrolled row-dot/axpy kernels ("unroll4",
+	// or "unroll8-v3" under GOAMD64=v3).
 	Kernel  string `json:"kernel"`
 	Workers int    `json:"workers"`
 	// Chunk is the claiming granularity; 0 reports the auto-sized default.
@@ -46,26 +44,16 @@ type hotpathSampler struct {
 	opts core.Options
 }
 
-// hotpathVariant is one precision × kernel cell. The default variant
-// (f64, build kernels) sweeps the full chunk grid; the ablation variants
-// run at the auto-sized chunk only, keeping the grid linear rather than
-// fully crossed in its cheap dimensions.
-type hotpathVariant struct {
-	precision string
-	kernel    string
-	f32       bool
-	scalar    bool
-}
-
 // Hotpath sweeps the direction-sampling and iteration-claiming hot path
-// over sampler implementations, worker counts, claiming chunk sizes,
-// value-storage precisions and kernel dispatch, running fixed-work
-// asynchronous sweeps on the Gram workload. Nil workers/chunks select
-// defaults sized for CI. The direction multiset is identical across
-// every cell of a sampler row (pure function of (seed, j), with weights
-// kept float64 even at f32 storage), so the grid isolates the cost of
-// the selection structure, counter contention, memory traffic and
-// kernel shape.
+// over samplers, worker counts, claiming chunk sizes and value-storage
+// precisions, running fixed-work asynchronous sweeps on the Gram
+// workload. f64 sweeps the full chunk grid; f32 runs at the auto-sized
+// chunk only, keeping the grid linear rather than fully crossed in its
+// cheap dimensions. Nil workers/chunks select defaults sized for CI. The
+// direction multiset is identical across every cell of a sampler row
+// (pure function of (seed, j), with weights kept float64 even at f32
+// storage), so the grid isolates the cost of the selection structure,
+// counter contention and memory traffic.
 func (r *Runner) Hotpath(sweeps int, workers, chunks []int) []HotpathRow {
 	r.Prepare()
 	if sweeps <= 0 {
@@ -90,14 +78,8 @@ func (r *Runner) Hotpath(sweeps int, workers, chunks []int) []HotpathRow {
 	samplers := []hotpathSampler{
 		{"uniform", core.Options{}},
 		{"weighted-alias", core.Options{DiagonalWeighted: true}},
-		{"weighted-cdf", core.Options{DiagonalWeighted: true, WeightedCDF: true}},
 	}
-	variants := []hotpathVariant{
-		{"f64", sparse.KernelName(), false, false},
-		{"f64", "scalar", false, true},
-		{"f32", sparse.KernelName(), true, false},
-		{"f32", "scalar", true, true},
-	}
+	kernel := sparse.KernelName()
 
 	prep, err := core.PrepareMatrix(r.Gram)
 	if err != nil {
@@ -107,15 +89,12 @@ func (r *Runner) Hotpath(sweeps int, workers, chunks []int) []HotpathRow {
 	meanNNZ := r.Gram.NNZ() / n
 	iters := uint64(sweeps) * uint64(n)
 
-	defer sparse.SetScalarKernels(sparse.ScalarKernels())
-
-	cell := func(smp hotpathSampler, v hotpathVariant, w, chunk int) HotpathRow {
-		sparse.SetScalarKernels(v.scalar)
+	cell := func(smp hotpathSampler, f32 bool, w, chunk int) HotpathRow {
 		opts := smp.opts
 		opts.Workers = w
 		opts.Chunk = chunk
 		opts.Seed = r.Cfg.Seed
-		opts.Float32 = v.f32
+		opts.Float32 = f32
 		ds := make([]time.Duration, 0, repeats)
 		for rep := 0; rep < repeats; rep++ {
 			s, err := core.NewFromPrep(prep, opts)
@@ -126,12 +105,12 @@ func (r *Runner) Hotpath(sweeps int, workers, chunks []int) []HotpathRow {
 			ds = append(ds, timeIt(func() { s.AsyncSweeps(x, r.b1, sweeps) }))
 		}
 		med := median(ds)
-		valBytes := 8
-		if v.f32 {
-			valBytes = 4
+		precision, valBytes := "f64", 8
+		if f32 {
+			precision, valBytes = "f32", 4
 		}
 		row := HotpathRow{
-			Sampler: smp.name, Precision: v.precision, Kernel: v.kernel,
+			Sampler: smp.name, Precision: precision, Kernel: kernel,
 			Workers: w, Chunk: chunk,
 			Sweeps: sweeps, Iterations: iters,
 			WallMS:       ms(med),
@@ -143,19 +122,16 @@ func (r *Runner) Hotpath(sweeps int, workers, chunks []int) []HotpathRow {
 		return row
 	}
 
-	r.printf("\n== Hotpath grid: sampler × precision × kernel × workers × chunk (%d fixed sweeps on n=%d, median of %d) ==\n", sweeps, n, repeats)
+	r.printf("\n== Hotpath grid: sampler × precision × workers × chunk (%d fixed sweeps on n=%d, median of %d) ==\n", sweeps, n, repeats)
 	r.printf("%-16s %-5s %-12s %-8s %-7s %-10s %-10s\n", "sampler", "prec", "kernel", "workers", "chunk", "wall-ms", "ns/iter")
 	var rows []HotpathRow
 	for _, smp := range samplers {
 		for _, w := range workers {
-			// Chunk sweep at the default precision and kernel dispatch.
+			// Chunk sweep at f64, then f32 at the auto-sized chunk.
 			for _, chunk := range chunks {
-				rows = append(rows, cell(smp, variants[0], w, chunk))
+				rows = append(rows, cell(smp, false, w, chunk))
 			}
-			// Precision × kernel ablations at the auto-sized chunk.
-			for _, v := range variants[1:] {
-				rows = append(rows, cell(smp, v, w, 0))
-			}
+			rows = append(rows, cell(smp, true, w, 0))
 		}
 	}
 	return rows

@@ -1,17 +1,8 @@
-// Package claim sizes the chunked iteration-claiming granularity shared
-// by the asynchronous coordinate solvers (core, kaczmarz, lsq): a
-// worker grabs a block of global iteration indices from the shared
-// atomic counter per CAS instead of one, taking the counter off the
-// critical path. One definition keeps the heuristic from drifting
-// across the solver families.
+// Package claim sizes the chunked iteration-claiming granularity of the
+// coordinate engine (internal/coord): a worker grabs a block of global
+// iteration indices from the shared atomic counter per CAS instead of
+// one, taking the counter off the critical path.
 package claim
-
-// Size resolves the claiming granularity with the legacy fixed [1, 256]
-// clamp, for callers that cannot estimate their per-iteration footprint.
-// It is SizeFor with rowBytes = 0.
-func Size(explicit int, total uint64, workers int) int {
-	return SizeFor(explicit, total, workers, 0)
-}
 
 // SizeFor resolves the claiming granularity. An explicit positive size
 // wins; otherwise the chunk is total/(workers·16) — large enough that the

@@ -20,7 +20,10 @@
 // The package supports unit-diagonal and general SPD matrices (iteration
 // (3) of the paper), single vectors and row-major multi-right-hand-side
 // blocks, atomic and non-atomic writes (the paper's §9 ablation), and the
-// occasional-synchronization scheme of the Theorem 2 discussion.
+// occasional-synchronization scheme of the Theorem 2 discussion. The
+// iteration-claiming loop, the direction samplers and the delay
+// bookkeeping are the shared coordinate engine in internal/coord; this
+// package supplies Algorithm 1's update rule and the solver around it.
 package core
 
 import (
@@ -28,6 +31,7 @@ import (
 	"math"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/theory"
 )
@@ -67,8 +71,10 @@ type Options struct {
 	SyncPeriod int
 
 	// MeasureDelay enables bookkeeping of the observed asynchrony bound
-	// τ̂ (max number of other updates committed during one iteration) and
-	// of the full delay histogram (see Solver.DelayHistogram).
+	// τ̂ — the largest number of iterations other workers claimed between
+	// one iteration's claim and its commit — and of the full delay
+	// histogram (see Solver.DelayHistogram). The same definition holds
+	// with a shared counter and with Partitioned's owned slices.
 	MeasureDelay bool
 
 	// DiagonalWeighted samples coordinate r with probability A_rr/tr(A)
@@ -76,14 +82,8 @@ type Options struct {
 	// non-unit-diagonal matrices. For unit-diagonal matrices it reduces
 	// to uniform sampling. Requires a strictly positive diagonal. The
 	// draw goes through an O(1) Walker/Vose alias table built once per
-	// prepared matrix; set WeightedCDF for the legacy binary search.
+	// prepared matrix.
 	DiagonalWeighted bool
-
-	// WeightedCDF routes the DiagonalWeighted draw through the O(log n)
-	// binary search over the diagonal CDF instead of the alias table —
-	// the ablation baseline of the hotpath benchmark grid. Ignored
-	// without DiagonalWeighted.
-	WeightedCDF bool
 
 	// Float32 stores the matrix values in float32 while accumulating all
 	// arithmetic in float64, halving value-array memory bandwidth on
@@ -127,12 +127,10 @@ type Solver struct {
 	a32       *sparse.CSR32 // non-nil under Options.Float32; hot loops read it instead of a
 	diag      []float64
 	invD      []float64    // 1/diag (1/fl32(diag) under Float32), hoisted out of the inner loop
-	diagCDF   []float64    // cumulative A_rr/tr(A), for the WeightedCDF ablation
 	diagAlias *alias.Table // O(1) alias table for DiagonalWeighted
 	beta      float64
 	opts      Options
 	next      uint64 // global iteration index; advances across calls
-	tau       uint64 // max observed delay (if MeasureDelay)
 	sweep     int    // completed sweeps, for reporting
 	// Reusable scratch, lazily sized and retained across Reinit so a
 	// recycled Solver's warm Solve allocates nothing: direction-index
@@ -142,14 +140,9 @@ type Solver struct {
 	// rowBytes estimates the bytes one iteration touches (mean row values
 	// + indices + iterate/rhs entries), feeding the cache-aware chunk cap.
 	rowBytes int
-	// delayHist[k] counts iterations whose observed delay fell in
-	// [2^(k-1), 2^k) (bucket 0 is delay 0); updated atomically.
-	delayHist [delayBuckets]uint64
+	// delay is the observed-asynchrony record (if MeasureDelay).
+	delay coord.Delay
 }
-
-// delayBuckets is the number of power-of-two delay histogram buckets; 2⁶³
-// exceeds any possible delay, so the histogram never saturates.
-const delayBuckets = 64
 
 // New validates the matrix and constructs a Solver. The matrix must be
 // square with non-zero diagonal; symmetry and positive definiteness are the
@@ -182,7 +175,7 @@ func (s *Solver) Matrix() *sparse.CSR { return s.a }
 
 // ObservedTau returns the largest measured asynchrony delay τ̂ so far.
 // Zero unless Options.MeasureDelay was set and an asynchronous method ran.
-func (s *Solver) ObservedTau() int { return int(s.tau) }
+func (s *Solver) ObservedTau() int { return s.delay.Max() }
 
 // Iterations returns the number of single-coordinate updates performed by
 // this solver across all calls.
@@ -192,11 +185,8 @@ func (s *Solver) Iterations() uint64 { return s.next }
 // replays the same direction sequence d₀,d₁,…
 func (s *Solver) Reset() {
 	s.next = 0
-	s.tau = 0
 	s.sweep = 0
-	for i := range s.delayHist {
-		s.delayHist[i] = 0
-	}
+	s.delay.Reset()
 }
 
 // DelayHistogram returns the observed-delay histogram collected when
@@ -205,17 +195,7 @@ func (s *Solver) Reset() {
 // histogram lets experiments report the delay *distribution*, addressing
 // the paper's conclusion that the worst-case τ is pessimistic and a
 // probabilistic delay model would be more descriptive.
-func (s *Solver) DelayHistogram() []uint64 {
-	out := make([]uint64, 0, delayBuckets)
-	last := 0
-	for i, c := range s.delayHist {
-		if c != 0 {
-			last = i
-		}
-		out = append(out, c)
-	}
-	return out[:last+1]
-}
+func (s *Solver) DelayHistogram() []uint64 { return s.delay.Histogram() }
 
 // Result reports the outcome of a Solve call.
 type Result struct {

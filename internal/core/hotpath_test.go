@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -25,19 +26,18 @@ type atomicCounter struct{ v atomic.Uint64 }
 // chunk partitionings of the same index range.
 func TestFillMatchesPickEverySampler(t *testing.T) {
 	diag := []float64{1, 5, 2, 0.5, 3, 3, 1, 8, 2, 4}
-	aliasSmp, cdfSmp := weightedSamplers(t, diag)
-	samplers := map[string]sampler{
-		"uniform":     {kind: samplerUniform, n: 10},
+	aliasSmp, _ := weightedSamplers(t, diag)
+	samplers := map[string]coord.Sampler{
+		"uniform":     coord.Uniform(10),
 		"alias":       aliasSmp,
-		"cdf":         cdfSmp,
-		"partitioned": {kind: samplerPartitioned, n: 10, workers: 3},
+		"partitioned": coord.Partitioned(10, 3),
 	}
 	stream := rng.NewStream(31)
 	const total = 4096
 	for name, smp := range samplers {
 		want := make([]int32, total)
 		for j := range want {
-			want[j] = int32(smp.pick(stream, uint64(j), 1))
+			want[j] = int32(smp.Pick(stream, uint64(j), 1))
 		}
 		for _, chunk := range []int{1, 7, 64, 500, total} {
 			got := make([]int32, total)
@@ -46,7 +46,7 @@ func TestFillMatchesPickEverySampler(t *testing.T) {
 				if top > total {
 					top = total
 				}
-				smp.fill(stream, uint64(base), got[base:top], 1)
+				smp.Fill(stream, uint64(base), got[base:top], 1)
 			}
 			for j := range got {
 				if got[j] != want[j] {
@@ -116,21 +116,6 @@ func TestChunkedSolveMatchesUnchunkedSequentially(t *testing.T) {
 	}
 }
 
-// TestWeightedAsyncCDFAblationConverges exercises the legacy CDF path
-// (the hotpath grid's baseline) end to end.
-func TestWeightedAsyncCDFAblationConverges(t *testing.T) {
-	a := workload.RandomSPD(120, 5, 1.5, 30)
-	b := workload.RandomRHS(120, 31)
-	s, err := New(a, Options{Seed: 32, DiagonalWeighted: true, WeightedCDF: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 120)
-	if res, err := s.SolveAsync(x, b, 1e-7, 2000, 10); err != nil {
-		t.Fatalf("CDF ablation did not converge: %+v", res)
-	}
-}
-
 // TestReinitRecyclesScratch checks the pool contract: a Solver recycled
 // with Reinit replays the stream from index 0 with fresh statistics and
 // produces the same iterate as a fresh Solver.
@@ -192,30 +177,18 @@ func TestWarmSequentialSweepsZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkWeightedWarmSweep is the end-to-end acceptance benchmark for
-// the alias rebuild: a warm diagonal-weighted sweep at n = 10^5 through
-// the O(1) alias table versus the legacy O(log n) CDF search.
+// BenchmarkWeightedWarmSweep measures a warm diagonal-weighted sweep at
+// n = 10^5 through the O(1) alias table.
 func BenchmarkWeightedWarmSweep(b *testing.B) {
 	a := workload.RandomSPD(100_000, 6, 1.5, 1)
 	rhs := workload.RandomRHS(100_000, 2)
-	prep, err := PrepareMatrix(a)
+	s, err := New(a, Options{Seed: 3, DiagonalWeighted: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		cdf  bool
-	}{{"alias", false}, {"cdf", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			s, err := NewFromPrep(prep, Options{Seed: 3, DiagonalWeighted: true, WeightedCDF: tc.cdf})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x := make([]float64, 100_000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Sweeps(x, rhs, 1)
-			}
-		})
+	x := make([]float64, 100_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Sweeps(x, rhs, 1)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,7 +12,7 @@ import (
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
 // use the delta to prove that cached prepared state never recomputes the
-// diagonal extraction or sampling CDF.
+// diagonal extraction or the sampling table.
 var prepCount atomic.Uint64
 
 // PrepCount returns the number of per-matrix preparations performed so
@@ -20,19 +21,14 @@ func PrepCount() uint64 { return prepCount.Load() }
 
 // Prep is the reusable per-matrix state of the core solver family: the
 // validated diagonal, its reciprocal (hoisted out of the inner loop), and
-// the lazily built diagonal-weighted sampling structures — the O(1)
-// Walker/Vose alias table plus the legacy CDF kept for the ablation
-// path. A Prep is immutable after construction and safe for concurrent
-// use; any number of Solvers can be forked from it with NewFromPrep
-// without re-running setup.
+// the lazily built O(1) Walker/Vose alias table of the diagonal-weighted
+// distribution. A Prep is immutable after construction and safe for
+// concurrent use; any number of Solvers can be forked from it with
+// NewFromPrep without re-running setup.
 type Prep struct {
 	a    *sparse.CSR
 	diag []float64
 	invD []float64
-
-	cdfOnce sync.Once
-	diagCDF []float64
-	cdfErr  error
 
 	aliasOnce sync.Once
 	diagAlias *alias.Table
@@ -68,7 +64,7 @@ func (p *Prep) Matrix() *sparse.CSR { return p.a }
 
 // State exposes the serializable per-matrix state — the validated
 // diagonal and its reciprocal — for the durable prep-store codec. The
-// lazily memoized structures (CDF, alias table, float32 view) are
+// lazily memoized structures (alias table, float32 view) are
 // deliberately absent: each is an O(n) rebuild from this state, cheaper
 // to reconstruct than to ship and re-verify. Shared slices; do not
 // mutate.
@@ -96,15 +92,6 @@ func PrepFromState(a *sparse.CSR, diag, invD []float64) (*Prep, error) {
 	return &Prep{a: a, diag: diag, invD: invD}, nil
 }
 
-// weightedCDF returns the cumulative A_rr/tr(A) distribution for the
-// WeightedCDF ablation, building and validating it on first use.
-func (p *Prep) weightedCDF() ([]float64, error) {
-	p.cdfOnce.Do(func() {
-		p.diagCDF, p.cdfErr = newWeightedCDF(p.diag)
-	})
-	return p.diagCDF, p.cdfErr
-}
-
 // weightedAlias returns the O(1) alias table over A_rr/tr(A), building
 // and validating it on first use. Construction is O(n), paid once per
 // prepared matrix — which is what lets a serving deployment's prep cache
@@ -118,6 +105,24 @@ func (p *Prep) weightedAlias() (*alias.Table, error) {
 		p.diagAlias, p.aliasErr = alias.New(p.diag)
 	})
 	return p.diagAlias, p.aliasErr
+}
+
+// validateWeights enforces the diagonal-weighted sampling contract:
+// entries must be finite and positive (a zero or negative diagonal entry
+// cannot define the Leventhal–Lewis distribution A_rr/tr(A)).
+func validateWeights(diag []float64) error {
+	if len(diag) == 0 {
+		return fmt.Errorf("core: diagonal-weighted sampling needs a non-empty diagonal")
+	}
+	for i, d := range diag {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("core: diagonal-weighted sampling needs a finite diagonal, row %d has %g", i, d)
+		}
+		if d <= 0 {
+			return fmt.Errorf("core: diagonal-weighted sampling needs a positive diagonal, row %d has %g", i, d)
+		}
+	}
+	return nil
 }
 
 // float32View returns the float32-value storage view of the matrix plus
@@ -202,7 +207,7 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 	}
 	s.rowBytes = meanNNZ*(valBytes+8) + 24
 	s.beta, s.opts = beta, opts
-	s.diagCDF, s.diagAlias = nil, nil
+	s.diagAlias = nil
 	s.Reset()
 	if opts.DiagonalWeighted {
 		tab, err := p.weightedAlias()
@@ -210,13 +215,6 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 			return err
 		}
 		s.diagAlias = tab
-		if opts.WeightedCDF {
-			cdf, err := p.weightedCDF()
-			if err != nil {
-				return err
-			}
-			s.diagCDF = cdf
-		}
 	}
 	return nil
 }

@@ -3,25 +3,129 @@ package core
 import (
 	"math"
 
+	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
 )
 
-// seqFillChunk is the direction-buffer block size of the synchronous
-// paths. It only amortizes generator and dispatch overhead — the
-// direction at index j is a pure function of (seed, j), so the sequence
-// is independent of the block size.
-const seqFillChunk = 512
+// vecRule is Algorithm 1's update for one right-hand side at value
+// precision T: γ ← (b_r − A_r·x)/A_rr, x_r ← x_r + β·γ.
+type vecRule[T sparse.Value] struct {
+	a    sparse.View[T]
+	invD []float64
+	beta float64
+	x, b []float64
+}
+
+// plain runs a chunk with plain loads and stores: the synchronous
+// iteration, and the NonAtomic ablation when run by several workers.
+func (k *vecRule[T]) plain(_ int, picks []int32) {
+	a, invD, beta, x, b := k.a, k.invD, k.beta, k.x, k.b
+	for _, p := range picks {
+		r := int(p)
+		gamma := (b[r] - a.Dot(r, x)) * invD[r]
+		x[r] += beta * gamma
+	}
+}
+
+// atomic runs a chunk of the asynchronous iteration. Read phase: other
+// workers may commit updates mid-read — the inconsistent-read model
+// (iteration (9)). Atomic loads cost nothing on mainstream hardware and
+// keep the execution free of data races; the commit is an atomic add
+// (Assumption A-1).
+func (k *vecRule[T]) atomic(_ int, picks []int32) {
+	a, invD, beta, x, b := k.a, k.invD, k.beta, k.x, k.b
+	for _, p := range picks {
+		r := int(p)
+		gamma := (b[r] - a.DotAtomic(r, x)) * invD[r]
+		atomicfloat.Add(&x[r], beta*gamma)
+	}
+}
+
+// blockRule is vecRule for a row-major multi-right-hand-side block: all
+// columns share the direction r, and the update writes the Cols entries
+// of row r. gamma holds one Cols-long scratch row per worker.
+type blockRule[T sparse.Value] struct {
+	a     sparse.View[T]
+	invD  []float64
+	beta  float64
+	x, b  *vec.Dense
+	gamma []float64
+}
+
+func (k *blockRule[T]) plain(w int, picks []int32) {
+	a, x, b, c := k.a, k.x, k.b, k.x.Cols
+	gamma := k.gamma[w*c : (w+1)*c]
+	for _, p := range picks {
+		r := int(p)
+		copy(gamma, b.Row(r))
+		cols, vals := a.Line(r)
+		for t, col := range cols {
+			sparse.Axpy(gamma, x.Row(col), -float64(vals[t]))
+		}
+		sparse.Axpy(x.Row(r), gamma, k.beta*k.invD[r])
+	}
+}
+
+func (k *blockRule[T]) atomic(w int, picks []int32) {
+	a, x, b, c := k.a, k.x, k.b, k.x.Cols
+	gamma := k.gamma[w*c : (w+1)*c]
+	for _, p := range picks {
+		r := int(p)
+		copy(gamma, b.Row(r))
+		cols, vals := a.Line(r)
+		for t, col := range cols {
+			sparse.AxpyAtomicRead(gamma, x.Row(col), -float64(vals[t]))
+		}
+		scale := k.beta * k.invD[r]
+		xrow := x.Row(r)
+		for col := range gamma {
+			atomicfloat.Add(&xrow[col], scale*gamma[col])
+		}
+	}
+}
 
 // seqPicks returns the solver's reusable direction buffer, lazily sized.
 // Retained across Reinit so a recycled Solver's warm solve allocates
 // nothing. Synchronous paths only (one goroutine).
 func (s *Solver) seqPicks() []int32 {
-	if cap(s.pickBuf) < seqFillChunk {
-		s.pickBuf = make([]int32, seqFillChunk)
+	if cap(s.pickBuf) < coord.InlineChunk {
+		s.pickBuf = make([]int32, coord.InlineChunk)
 	}
-	return s.pickBuf[:seqFillChunk]
+	return s.pickBuf[:coord.InlineChunk]
+}
+
+// config returns the engine configuration for the next sweeps: the
+// sampler and, for a multi-worker run, the scheduling options. The
+// partitioned sampler applies to multi-worker runs only — with one
+// worker there is one block, which is uniform sampling.
+func (s *Solver) config(workers int) coord.Config {
+	c := coord.Config{Stream: rng.NewStream(s.opts.Seed), Sampler: coord.Uniform(s.a.Rows)}
+	switch {
+	case s.opts.Partitioned && workers > 1:
+		c.Sampler = coord.Partitioned(s.a.Rows, workers)
+	case s.opts.DiagonalWeighted:
+		c.Sampler = coord.Weighted(s.diagAlias)
+	}
+	if workers > 1 {
+		c.Workers, c.SyncPeriod = workers, s.opts.SyncPeriod
+		c.Chunk, c.RowBytes, c.Throttle = s.opts.Chunk, s.rowBytes, s.opts.Throttle
+	}
+	if s.opts.MeasureDelay && workers > 0 {
+		c.Delay = &s.delay
+	}
+	return c
+}
+
+// advance returns the global index range of the next sweeps and moves
+// the stream past it.
+func (s *Solver) advance(sweeps int) (start, end uint64) {
+	start = s.next
+	s.next += uint64(sweeps) * uint64(s.a.Rows)
+	s.sweep += sweeps
+	return start, s.next
 }
 
 // Sweeps runs sweeps·n synchronous Randomized Gauss–Seidel iterations on x
@@ -35,32 +139,24 @@ func (s *Solver) Sweeps(x, b []float64, sweeps int) {
 	if len(x) != n || len(b) != n {
 		panic("core: Sweeps shape mismatch")
 	}
-	stream := rng.NewStream(s.opts.Seed)
-	smp := s.newSampler(false)
-	picks := s.seqPicks()
-	a32 := s.a32
-	end := s.next + uint64(sweeps)*uint64(n)
-	for base := s.next; base < end; {
-		m := len(picks)
-		if rem := end - base; rem < uint64(m) {
-			m = int(rem)
-		}
-		smp.fill(stream, base, picks[:m], 0)
-		for t := 0; t < m; t++ {
-			r := int(picks[t])
-			var dot float64
-			if a32 != nil {
-				dot = a32.RowDot(r, x)
-			} else {
-				dot = s.a.RowDot(r, x)
-			}
-			gamma := (b[r] - dot) * s.invD[r]
-			x[r] += s.beta * gamma
-		}
-		base += uint64(m)
+	s.sweepInline(x, b, sweeps, 0)
+}
+
+// sweepInline runs the vector iteration on the calling goroutine. workers
+// is 0 for the synchronous methods and 1 for a one-worker asynchronous
+// run, which records its iterations at delay zero under MeasureDelay.
+//
+//asyrgs:noalloc
+func (s *Solver) sweepInline(x, b []float64, sweeps, workers int) {
+	c := s.config(workers)
+	start, end := s.advance(sweeps)
+	if s.a32 != nil {
+		k := vecRule[float32]{s.a32.View(), s.invD, s.beta, x, b}
+		coord.Inline(&c, start, end, s.seqPicks(), k.plain)
+	} else {
+		k := vecRule[float64]{s.a.View(), s.invD, s.beta, x, b}
+		coord.Inline(&c, start, end, s.seqPicks(), k.plain)
 	}
-	s.next = end
-	s.sweep += sweeps
 }
 
 // SweepsDense runs sweeps·n synchronous iterations simultaneously on every
@@ -68,40 +164,36 @@ func (s *Solver) Sweeps(x, b []float64, sweeps int) {
 // global iteration j is shared by all right-hand sides, matching the
 // paper's multi-RHS experiment where all 51 systems are solved together.
 func (s *Solver) SweepsDense(x, b *vec.Dense, sweeps int) {
+	s.runDense(x, b, sweeps, 0)
+}
+
+// runDense runs the block iteration with the given worker count (see
+// config).
+func (s *Solver) runDense(x, b *vec.Dense, sweeps, workers int) {
 	n := s.a.Rows
 	if x.Rows != n || b.Rows != n || x.Cols != b.Cols {
-		panic("core: SweepsDense shape mismatch")
+		panic("core: dense sweeps shape mismatch")
 	}
-	c := x.Cols
-	stream := rng.NewStream(s.opts.Seed)
-	smp := s.newSampler(false)
-	gamma := make([]float64, c)
-	picks := s.seqPicks()
-	end := s.next + uint64(sweeps)*uint64(n)
-	for base := s.next; base < end; {
-		m := len(picks)
-		if rem := end - base; rem < uint64(m) {
-			m = int(rem)
-		}
-		smp.fill(stream, base, picks[:m], 0)
-		for t := 0; t < m; t++ {
-			r := int(picks[t])
-			copy(gamma, b.Row(r))
-			if a32 := s.a32; a32 != nil {
-				for k := a32.RowPtr[r]; k < a32.RowPtr[r+1]; k++ {
-					sparse.Axpy(gamma, x.Row(a32.ColIdx[k]), -float64(a32.Vals[k]))
-				}
-			} else {
-				for k := s.a.RowPtr[r]; k < s.a.RowPtr[r+1]; k++ {
-					sparse.Axpy(gamma, x.Row(s.a.ColIdx[k]), -s.a.Vals[k])
-				}
-			}
-			sparse.Axpy(x.Row(r), gamma, s.beta*s.invD[r])
-		}
-		base += uint64(m)
+	c := s.config(workers)
+	start, end := s.advance(sweeps)
+	gamma := make([]float64, max(c.Workers, 1)*x.Cols)
+	if s.a32 != nil {
+		k := &blockRule[float32]{s.a32.View(), s.invD, s.beta, x, b, gamma}
+		s.run(&c, start, end, k.plain, k.atomic)
+	} else {
+		k := &blockRule[float64]{s.a.View(), s.invD, s.beta, x, b, gamma}
+		s.run(&c, start, end, k.plain, k.atomic)
 	}
-	s.next = end
-	s.sweep += sweeps
+}
+
+// run executes [start, end) with the rule's atomicity chosen once, before
+// any worker starts: plain accesses for one worker or the NonAtomic
+// ablation, atomic reads and commits otherwise.
+func (s *Solver) run(c *coord.Config, start, end uint64, plain, atomic coord.Body) {
+	if c.Workers > 1 && !s.opts.NonAtomic {
+		plain = atomic
+	}
+	coord.Run(c, start, end, plain)
 }
 
 // Solve iterates synchronously until the relative residual drops below tol

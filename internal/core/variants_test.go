@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/dense"
 	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/rng"
@@ -18,20 +20,43 @@ import (
 
 // --- diagonal-weighted sampling ---
 
+// picker is the draw interface shared by the engine's samplers and the
+// reference CDF below.
+type picker interface {
+	Pick(stream rng.Stream, j uint64, worker int) int
+}
+
+// cdfSampler is the O(log n) binary search over the cumulative weights:
+// the reference the alias table's marginals are checked against.
+type cdfSampler []float64
+
+func (c cdfSampler) Pick(stream rng.Stream, j uint64, _ int) int {
+	r := sort.SearchFloat64s(c, stream.Float64At(j))
+	if r >= len(c) {
+		r = len(c) - 1
+	}
+	return r
+}
+
 // weightedSamplers builds both implementations of the diagonal-weighted
-// draw — the O(1) alias table and the O(log n) CDF ablation — for a
+// draw — the engine's O(1) alias table and the reference CDF — for a
 // diagonal, failing the test on invalid input.
-func weightedSamplers(t *testing.T, diag []float64) (aliasSmp, cdfSmp sampler) {
+func weightedSamplers(t *testing.T, diag []float64) (aliasSmp coord.Sampler, cdfSmp cdfSampler) {
 	t.Helper()
 	tab, err := alias.New(diag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdf, err := newWeightedCDF(diag)
-	if err != nil {
-		t.Fatal(err)
+	cdf := make(cdfSampler, len(diag))
+	var total float64
+	for i, d := range diag {
+		total += d
+		cdf[i] = total
 	}
-	return sampler{kind: samplerWeightedAlias, tab: tab}, sampler{kind: samplerWeightedCDF, cdf: cdf}
+	for i := range cdf {
+		cdf[i] /= total
+	}
+	return coord.Weighted(tab), cdf
 }
 
 func TestWeightedSamplerDistribution(t *testing.T) {
@@ -39,11 +64,11 @@ func TestWeightedSamplerDistribution(t *testing.T) {
 	// the alias and the CDF implementation.
 	aliasSmp, cdfSmp := weightedSamplers(t, []float64{1, 3})
 	stream := rng.NewStream(1)
-	for name, smp := range map[string]sampler{"alias": aliasSmp, "cdf": cdfSmp} {
+	for name, smp := range map[string]picker{"alias": aliasSmp, "cdf": cdfSmp} {
 		counts := [2]int{}
 		const draws = 100_000
 		for j := uint64(0); j < draws; j++ {
-			counts[smp.pick(stream, j, 0)]++
+			counts[smp.Pick(stream, j, 0)]++
 		}
 		frac := float64(counts[1]) / draws
 		if math.Abs(frac-0.75) > 0.01 {
@@ -58,7 +83,7 @@ func TestWeightedSamplerUnitDiagonalIsUniform(t *testing.T) {
 	counts := [4]int{}
 	const draws = 80_000
 	for j := uint64(0); j < draws; j++ {
-		counts[smp.pick(stream, j, 0)]++
+		counts[smp.Pick(stream, j, 0)]++
 	}
 	for i, c := range counts {
 		if math.Abs(float64(c)/draws-0.25) > 0.01 {
@@ -78,8 +103,8 @@ func TestAliasVsCDFMarginalEquivalence(t *testing.T) {
 	const draws = 200_000
 	var aliasCounts, cdfCounts [8]float64
 	for j := uint64(0); j < draws; j++ {
-		aliasCounts[aliasSmp.pick(stream, j, 0)]++
-		cdfCounts[cdfSmp.pick(stream, j, 0)]++
+		aliasCounts[aliasSmp.Pick(stream, j, 0)]++
+		cdfCounts[cdfSmp.Pick(stream, j, 0)]++
 	}
 	for i := range diag {
 		fa := aliasCounts[i] / draws
@@ -87,22 +112,6 @@ func TestAliasVsCDFMarginalEquivalence(t *testing.T) {
 		if math.Abs(fa-fc) > 6e-3 {
 			t.Fatalf("coordinate %d: alias marginal %.4f vs CDF marginal %.4f", i, fa, fc)
 		}
-	}
-}
-
-func TestWeightedCDFValidation(t *testing.T) {
-	for name, diag := range map[string][]float64{
-		"empty":    {},
-		"zero":     {1, 0, 2},
-		"negative": {1, -3},
-		"nan":      {1, math.NaN()},
-	} {
-		if _, err := newWeightedCDF(diag); err == nil {
-			t.Fatalf("%s diagonal must be rejected", name)
-		}
-	}
-	if _, err := newWeightedCDF([]float64{1, 2, 3}); err != nil {
-		t.Fatalf("valid diagonal rejected: %v", err)
 	}
 }
 
@@ -151,12 +160,12 @@ func TestDiagonalWeightedRejectsNonPositiveDiagonal(t *testing.T) {
 // --- partitioned (block-restricted) sampling ---
 
 func TestPartitionedSamplerStaysInBlock(t *testing.T) {
-	smp := sampler{kind: samplerPartitioned, n: 100, workers: 4}
+	smp := coord.Partitioned(100, 4)
 	stream := rng.NewStream(3)
 	for w := 0; w < 4; w++ {
 		lo, hi := w*25, (w+1)*25
 		for j := uint64(0); j < 2000; j++ {
-			r := smp.pick(stream, j, w)
+			r := smp.Pick(stream, j, w)
 			if r < lo || r >= hi {
 				t.Fatalf("worker %d drew coordinate %d outside [%d,%d)", w, r, lo, hi)
 			}
@@ -165,10 +174,10 @@ func TestPartitionedSamplerStaysInBlock(t *testing.T) {
 }
 
 func TestPartitionedSamplerMoreWorkersThanRows(t *testing.T) {
-	smp := sampler{kind: samplerPartitioned, n: 3, workers: 8}
+	smp := coord.Partitioned(3, 8)
 	stream := rng.NewStream(4)
 	for w := 0; w < 8; w++ {
-		r := smp.pick(stream, uint64(w), w)
+		r := smp.Pick(stream, uint64(w), w)
 		if r < 0 || r >= 3 {
 			t.Fatalf("worker %d drew out-of-range coordinate %d", w, r)
 		}
@@ -317,6 +326,61 @@ func TestDelayHistogramCollected(t *testing.T) {
 	for _, c := range s.DelayHistogram() {
 		if c != 0 {
 			t.Fatal("Reset must clear the histogram")
+		}
+	}
+}
+
+// TestPartitionedDelayMeasuresStall stalls worker 0 on its first
+// iteration until the other three workers have run through their owned
+// slices; they hold at their own first iteration until the stall has
+// begun. The delay of the stalled iteration then counts every index the
+// others claimed (at least 747 of the 1000) on the vector and the block
+// path alike, because the mark is taken at the claim, before the stall.
+func TestPartitionedDelayMeasuresStall(t *testing.T) {
+	a := workload.RandomSPD(200, 5, 1.5, 61)
+	b := workload.RandomRHS(200, 62)
+	for _, block := range []bool{false, true} {
+		var stalled, once atomic.Bool
+		var others atomic.Int64
+		// waitFor polls cond with a deadline, so a broken engine fails
+		// the τ̂ check below instead of hanging the test.
+		waitFor := func(cond func() bool) {
+			for deadline := time.Now().Add(10 * time.Second); !cond() && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		s, err := New(a, Options{
+			Seed: 63, Workers: 4, Partitioned: true, MeasureDelay: true,
+			Throttle: func(w int, _ uint64) {
+				if w != 0 {
+					waitFor(stalled.Load)
+					others.Add(1)
+					return
+				}
+				if once.CompareAndSwap(false, true) {
+					stalled.Store(true)
+					waitFor(func() bool { return others.Load() == 750 })
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if block {
+			s.AsyncSweepsDense(vec.NewDense(200, 3), workload.MultiRHS(200, 3, 64), 5)
+		} else {
+			s.AsyncSweeps(make([]float64, 200), b, 5)
+		}
+		var total uint64
+		for _, c := range s.DelayHistogram() {
+			total += c
+		}
+		if total != 1000 {
+			t.Fatalf("block=%v: histogram counts %d iterations, want 1000", block, total)
+		}
+		if tau := s.ObservedTau(); tau < 500 {
+			t.Fatalf("block=%v: observed τ̂ = %d across a stall, want ≥ 500 (histogram %v)",
+				block, tau, s.DelayHistogram())
 		}
 	}
 }

@@ -3,19 +3,20 @@
 // Liu, Wright and Sridhar — the closest related work the paper discusses
 // (§2). It serves as a baseline: Kaczmarz projects onto row hyperplanes of
 // a consistent system, while AsyRGS descends along coordinates of an SPD
-// system; both get linear rates from randomization.
+// system; both get linear rates from randomization. The projection is an
+// update rule of the shared coordinate engine (internal/coord), which
+// owns the claiming loop and the row sampler.
 package kaczmarz
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
-	"github.com/asynclinalg/asyrgs/internal/claim"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -31,15 +32,9 @@ type Options struct {
 	Beta float64
 	// Workers > 1 runs the asynchronous variant.
 	Workers int
-	// Seed keys the row-selection stream.
+	// Seed keys the row-selection stream. Rows are drawn from the
+	// Strohmer–Vershynin ‖A_i‖² distribution.
 	Seed uint64
-	// Uniform selects rows uniformly instead of the Strohmer–Vershynin
-	// ‖A_i‖² distribution.
-	Uniform bool
-	// WeightedCDF routes the norm-weighted draw through the legacy
-	// O(log n) binary search over the row-norm CDF instead of the O(1)
-	// alias table — the ablation baseline of the hotpath benchmark grid.
-	WeightedCDF bool
 	// Chunk is the number of iteration indices an asynchronous worker
 	// claims from the shared counter at a time; zero auto-sizes from the
 	// budget and worker count. Row selection stays a pure function of
@@ -55,16 +50,14 @@ type Options struct {
 
 // Solver holds the matrix and the row-sampling distribution.
 type Solver struct {
-	a         *sparse.CSR
-	a32       *sparse.CSR32 // non-nil under Options.Float32
-	rowNorm2  []float64     // ‖A_i‖² (of fl32(A) under Float32) — the projection divisor
-	sampNorm2 []float64     // float64 ‖A_i‖², the sampling weights (rejection path)
-	cdf       []float64     // cumulative ‖A_i‖²/‖A‖_F², for the CDF ablation
-	tab       *alias.Table  // O(1) norm-weighted row draw
-	opts      Options
-	beta      float64
-	next      uint64
-	rowBytes  int // per-iteration cache footprint estimate for chunk sizing
+	a        *sparse.CSR
+	a32      *sparse.CSR32 // non-nil under Options.Float32
+	rowNorm2 []float64     // ‖A_i‖² (of fl32(A) under Float32) — the projection divisor
+	tab      *alias.Table  // O(1) norm-weighted row draw
+	opts     Options
+	beta     float64
+	next     uint64
+	rowBytes int // per-iteration cache footprint estimate for chunk sizing
 }
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
@@ -72,18 +65,16 @@ type Solver struct {
 var prepCount atomic.Uint64
 
 // PrepCount returns the number of per-matrix preparations (row-norm and
-// sampling-CDF passes) performed so far in this process.
+// sampling-table passes) performed so far in this process.
 func PrepCount() uint64 { return prepCount.Load() }
 
 // Prep is the reusable per-matrix state of the Kaczmarz solvers: the row
-// norms ‖A_i‖², the Strohmer–Vershynin sampling CDF (ablation path) and
-// the O(1) alias table the hot loop draws through. Immutable after
-// construction and safe for concurrent use; fork Solvers from it with
-// NewFromPrep.
+// norms ‖A_i‖² and the O(1) alias table of the Strohmer–Vershynin
+// distribution the hot loop draws through. Immutable after construction
+// and safe for concurrent use; fork Solvers from it with NewFromPrep.
 type Prep struct {
 	a        *sparse.CSR
 	rowNorm2 []float64
-	cdf      []float64
 	tab      *alias.Table
 
 	f32Once    sync.Once
@@ -99,49 +90,51 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 		return nil, errors.New("kaczmarz: empty matrix")
 	}
 	prepCount.Add(1)
-	p := &Prep{a: a,
-		rowNorm2: make([]float64, a.Rows),
-		cdf:      make([]float64, a.Rows),
-	}
-	var total float64
+	norms := make([]float64, a.Rows)
 	for i := 0; i < a.Rows; i++ {
 		var nz float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			nz += a.Vals[k] * a.Vals[k]
 		}
-		p.rowNorm2[i] = nz
+		norms[i] = nz
+	}
+	return newPrep(a, norms, "building")
+}
+
+// newPrep checks the row norms and builds the alias table over them. A
+// zero-norm row has zero weight and is never drawn; an all-zero matrix
+// and negative norms are rejected. The builder re-validates the weights,
+// so non-finite norms from overflowing rows surface with a clear error
+// instead of a silently broken table.
+func newPrep(a *sparse.CSR, rowNorm2 []float64, verb string) (*Prep, error) {
+	var total float64
+	for i, nz := range rowNorm2 {
+		if nz < 0 {
+			return nil, fmt.Errorf("kaczmarz: row norm %d is negative", i)
+		}
 		total += nz
-		p.cdf[i] = total
 	}
 	if total == 0 {
 		return nil, errors.New("kaczmarz: zero matrix")
 	}
-	for i := range p.cdf {
-		p.cdf[i] /= total
-	}
-	// The alias table makes the norm-weighted draw O(1); squared norms
-	// are non-negative and total > 0 was just checked, but the builder
-	// re-validates (non-finite entries from overflowing rows surface
-	// here with a clear error instead of a silently broken table).
-	tab, err := alias.New(p.rowNorm2)
+	tab, err := alias.New(rowNorm2)
 	if err != nil {
-		return nil, fmt.Errorf("kaczmarz: building row-sampling table: %w", err)
+		return nil, fmt.Errorf("kaczmarz: %s row-sampling table: %w", verb, err)
 	}
-	p.tab = tab
-	return p, nil
+	return &Prep{a: a, rowNorm2: rowNorm2, tab: tab}, nil
 }
 
 // State exposes the serializable per-matrix state — the squared row
-// norms — for the durable prep-store codec. The CDF and alias table are
-// absent: both are O(n) rebuilds from the norms, cheaper to reconstruct
-// than to ship. Shared slice; do not mutate.
+// norms — for the durable prep-store codec. The alias table is absent:
+// it is an O(n) rebuild from the norms, cheaper to reconstruct than to
+// ship. Shared slice; do not mutate.
 func (p *Prep) State() []float64 { return p.rowNorm2 }
 
 // PrepFromState rebuilds a Prep over a from row norms captured by State
-// on an identical matrix, skipping the O(nnz) norm pass. The sampling
-// CDF and alias table are reconstructed (O(n)), which re-validates the
-// norms: non-finite or negative entries and an all-zero matrix are
-// rejected exactly as in PrepareMatrix. It does not count in PrepCount.
+// on an identical matrix, skipping the O(nnz) norm pass. The alias table
+// is reconstructed (O(n)), which re-validates the norms: non-finite or
+// negative entries and an all-zero matrix are rejected exactly as in
+// PrepareMatrix. It does not count in PrepCount.
 func PrepFromState(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
 	if a.Rows == 0 {
 		return nil, errors.New("kaczmarz: empty matrix")
@@ -149,27 +142,7 @@ func PrepFromState(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
 	if len(rowNorm2) != a.Rows {
 		return nil, fmt.Errorf("kaczmarz: restored state has %d row norms for a %d-row matrix", len(rowNorm2), a.Rows)
 	}
-	p := &Prep{a: a, rowNorm2: rowNorm2, cdf: make([]float64, a.Rows)}
-	var total float64
-	for i, nz := range rowNorm2 {
-		if nz < 0 {
-			return nil, fmt.Errorf("kaczmarz: restored row norm %d is negative", i)
-		}
-		total += nz
-		p.cdf[i] = total
-	}
-	if total == 0 {
-		return nil, errors.New("kaczmarz: zero matrix")
-	}
-	for i := range p.cdf {
-		p.cdf[i] /= total
-	}
-	tab, err := alias.New(p.rowNorm2)
-	if err != nil {
-		return nil, fmt.Errorf("kaczmarz: rebuilding row-sampling table: %w", err)
-	}
-	p.tab = tab
-	return p, nil
+	return newPrep(a, rowNorm2, "rebuilding")
 }
 
 // Matrix returns the prepared matrix (shared, do not mutate).
@@ -213,8 +186,7 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if opts.Chunk < 0 {
 		return nil, errors.New("kaczmarz: negative claiming chunk")
 	}
-	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, sampNorm2: p.rowNorm2,
-		cdf: p.cdf, tab: p.tab, opts: opts, beta: beta}
+	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, tab: p.tab, opts: opts, beta: beta}
 	valBytes := 8
 	if opts.Float32 {
 		a32, n232, err := p.float32View()
@@ -245,110 +217,63 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 	return NewFromPrep(p, opts)
 }
 
-// pickRow maps iteration index j to a row according to the configured
-// distribution; it skips zero rows under uniform sampling by rejection
-// against consecutive sub-indices. The norm-weighted draw goes through
-// the O(1) alias table (a zero-norm row has zero weight and is never
-// drawn); WeightedCDF keeps the legacy binary search for ablations.
-// Either way the row is a pure function of (seed, j).
-func (s *Solver) pickRow(stream rng.Stream, j uint64) int {
-	if s.opts.Uniform {
-		//asyrgs:boundedloop rejection terminates because PrepareMatrix guarantees at least one row with positive norm
-		for sub := uint64(0); ; sub++ {
-			i := stream.IntnAt(j*31+sub, s.a.Rows)
-			if s.sampNorm2[i] > 0 {
-				return i
-			}
-		}
-	}
-	if s.opts.WeightedCDF {
-		u := stream.Float64At(j)
-		return sort.SearchFloat64s(s.cdf, u)
-	}
-	return s.tab.Pick(stream, j)
+// projRule is one Kaczmarz projection at value precision T: a gather-dot
+// forms the correction γ = β(b_i − A_i·x)/‖A_i‖², then a scatter-axpy
+// adds γ·A_i over the row's support.
+type projRule[T sparse.Value] struct {
+	a     sparse.View[T]
+	norm2 []float64
+	beta  float64
+	x, b  []float64
 }
 
-// step performs one Kaczmarz projection for row i on iterate x: a
-// gather-dot to form the correction, then a scatter-axpy back over the
-// row's support, both through the unrolled sparse kernels. concurrent
-// selects atomic reads and CAS adds for the multi-worker path.
-func (s *Solver) step(x, b []float64, i int, concurrent bool) {
-	var dot float64
-	switch {
-	case s.a32 != nil && concurrent:
-		dot = s.a32.RowDotAtomic(i, x)
-	case s.a32 != nil:
-		dot = s.a32.RowDot(i, x)
-	case concurrent:
-		dot = s.a.RowDotAtomic(i, x)
-	default:
-		dot = s.a.RowDot(i, x)
+func (k *projRule[T]) plain(_ int, picks []int32) {
+	a, x, b := k.a, k.x, k.b
+	for _, p := range picks {
+		i := int(p)
+		a.Axpy(i, x, k.beta*(b[i]-a.Dot(i, x))/k.norm2[i])
 	}
-	gamma := s.beta * (b[i] - dot) / s.rowNorm2[i]
-	switch {
-	case s.a32 != nil && concurrent:
-		s.a32.RowAxpyAtomic(i, x, gamma)
-	case s.a32 != nil:
-		s.a32.RowAxpy(i, x, gamma)
-	case concurrent:
-		s.a.RowAxpyAtomic(i, x, gamma)
-	default:
-		s.a.RowAxpy(i, x, gamma)
+}
+
+// atomic is plain with atomic reads and CAS adds, for several workers.
+func (k *projRule[T]) atomic(_ int, picks []int32) {
+	a, x, b := k.a, k.x, k.b
+	for _, p := range picks {
+		i := int(p)
+		a.AxpyAtomic(i, x, k.beta*(b[i]-a.DotAtomic(i, x))/k.norm2[i])
 	}
+}
+
+// body picks the rule's atomicity for a run on the given worker count.
+func (k *projRule[T]) body(workers int) coord.Body {
+	if workers > 1 {
+		return k.atomic
+	}
+	return k.plain
 }
 
 // Iterations runs m iterations (synchronously for Workers <= 1, otherwise
 // asynchronously with atomic coordinate updates) and returns the relative
-// residual.
+// residual. The row drawn at iteration j is a pure function of (seed, j),
+// so the chunk size never changes the projection multiset.
 func (s *Solver) Iterations(x, b []float64, m int) float64 {
 	if len(x) != s.a.Cols || len(b) != s.a.Rows {
 		panic("kaczmarz: shape mismatch")
 	}
-	stream := rng.NewStream(s.opts.Seed)
-	start := s.next
-	end := start + uint64(m)
-	if s.opts.Workers <= 1 {
-		for j := start; j < end; j++ {
-			i := s.pickRow(stream, j)
-			s.step(x, b, i, false)
-		}
-	} else {
-		// Chunked claiming: one CAS per chunk of indices instead of one
-		// per projection takes the shared counter off the critical path.
-		chunk := s.chunkSize(end - start)
-		var counter atomic.Uint64
-		counter.Store(start)
-		var wg sync.WaitGroup
-		for w := 0; w < s.opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				//asyrgs:boundedloop the claimed counter is monotone; every pass claims chunk>=1 indices and exits once base passes end
-				for {
-					base := counter.Add(uint64(chunk)) - uint64(chunk)
-					if base >= end {
-						return
-					}
-					top := base + uint64(chunk)
-					if top > end {
-						top = end
-					}
-					for j := base; j < top; j++ {
-						i := s.pickRow(stream, j)
-						s.step(x, b, i, true)
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	c := coord.Config{
+		Sampler: coord.Weighted(s.tab), Stream: rng.NewStream(s.opts.Seed),
+		Workers: s.opts.Workers, Chunk: s.opts.Chunk, RowBytes: s.rowBytes,
 	}
-	s.next = end
+	start := s.next
+	s.next += uint64(m)
+	if s.a32 != nil {
+		k := &projRule[float32]{s.a32.View(), s.rowNorm2, s.beta, x, b}
+		coord.Run(&c, start, s.next, k.body(c.Workers))
+	} else {
+		k := &projRule[float64]{s.a.View(), s.rowNorm2, s.beta, x, b}
+		coord.Run(&c, start, s.next, k.body(c.Workers))
+	}
 	return s.Residual(x, b)
-}
-
-// chunkSize resolves the claiming granularity (see claim.SizeFor).
-func (s *Solver) chunkSize(total uint64) int {
-	return claim.SizeFor(s.opts.Chunk, total, s.opts.Workers, s.rowBytes)
 }
 
 // Solve iterates until the relative residual reaches tol or maxIter

@@ -2,8 +2,10 @@ package kaczmarz
 
 import (
 	"math"
+	"sort"
 	"testing"
 
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/dense"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -51,16 +53,6 @@ func TestConvergesOnConsistentOverdetermined(t *testing.T) {
 	}
 	if e := vec.RelErr(x, xstar); e > 1e-6 {
 		t.Fatalf("solution error %v", e)
-	}
-}
-
-func TestUniformSamplingConverges(t *testing.T) {
-	a := workload.RandomSPD(30, 4, 1.5, 7)
-	b, _ := workload.RHSForSolution(a, 8)
-	s, _ := New(a, Options{Seed: 9, Uniform: true})
-	x := make([]float64, 30)
-	if _, res, err := s.Solve(x, b, 1e-8, 200_000, 3000); err != nil {
-		t.Fatalf("uniform sampling did not converge (res %v)", res)
 	}
 }
 
@@ -167,26 +159,33 @@ func TestDirectSolveAgreement(t *testing.T) {
 	}
 }
 
-// TestAliasVsCDFRowMarginals checks that the O(1) alias draw and the
-// legacy binary-search CDF draw select rows with the same marginal
-// distribution over a large budget.
+// TestAliasVsCDFRowMarginals checks that the O(1) alias draw selects
+// rows with the same marginal distribution as a binary search over the
+// cumulative ‖A_i‖²/‖A‖_F² distribution, over a large budget.
 func TestAliasVsCDFRowMarginals(t *testing.T) {
 	a := workload.RandomSPD(12, 4, 1.5, 60)
-	sAlias, err := New(a, Options{Seed: 61})
+	p, err := PrepareMatrix(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sCDF, err := New(a, Options{Seed: 61, WeightedCDF: true})
-	if err != nil {
-		t.Fatal(err)
+	norms := p.State()
+	cdf := make([]float64, len(norms))
+	var total float64
+	for i, nz := range norms {
+		total += nz
+		cdf[i] = total
 	}
+	for i := range cdf {
+		cdf[i] /= total
+	}
+	smp := coord.Weighted(p.tab)
 	stream := rng.NewStream(61)
 	const draws = 200_000
 	aliasCounts := make([]float64, a.Rows)
 	cdfCounts := make([]float64, a.Rows)
 	for j := uint64(0); j < draws; j++ {
-		aliasCounts[sAlias.pickRow(stream, j)]++
-		cdfCounts[sCDF.pickRow(stream, j)]++
+		aliasCounts[smp.Pick(stream, j, 0)]++
+		cdfCounts[sort.SearchFloat64s(cdf, stream.Float64At(j))]++
 	}
 	for i := 0; i < a.Rows; i++ {
 		if math.Abs(aliasCounts[i]-cdfCounts[i])/draws > 6e-3 {

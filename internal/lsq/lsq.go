@@ -14,7 +14,9 @@
 // costing O(Σ_i nnz(A_i)) over the rows i where column j is non-zero —
 // the cost trade-off §8 quantifies as at most O(C2²/C1) per step.
 // Iteration (21) is exactly AsyRGS applied to AᵀA·x = Aᵀb, so Theorem 4's
-// guarantees transfer with ρ₂ computed from X = AᵀA (Theorem 5).
+// guarantees transfer with ρ₂ computed from X = AᵀA (Theorem 5). Both
+// iterations are update rules of the shared coordinate engine
+// (internal/coord), which owns the claiming loop and the column sampler.
 package lsq
 
 import (
@@ -25,7 +27,7 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
-	"github.com/asynclinalg/asyrgs/internal/claim"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/vec"
@@ -266,124 +268,95 @@ func New(a *sparse.CSR, opts Options) (*Solver, error) {
 	return NewFromPrep(p, opts)
 }
 
+// seqRule is iteration (20) at value precision T: the residual
+// r = b − A·x is kept in memory and updated after every step, giving the
+// cheap O(nnz(A e_j)) step.
+type seqRule[T sparse.Value] struct {
+	cols  sparse.View[T]
+	norm2 []float64
+	beta  float64
+	x, r  []float64
+}
+
+func (k *seqRule[T]) step(_ int, picks []int32) {
+	x, r := k.x, k.r
+	for _, p := range picks {
+		j := int(p)
+		rows, vals := k.cols.Line(j)
+		var g float64
+		for t, i := range rows {
+			g += float64(vals[t]) * r[i]
+		}
+		gamma := k.beta * g / k.norm2[j]
+		x[j] += gamma
+		for t, i := range rows {
+			r[i] -= gamma * float64(vals[t])
+		}
+	}
+}
+
+// asyncRule is iteration (21) at value precision T: workers share x, each
+// step recomputes the residual entries it needs (A_i·x for the rows i
+// touching column j) with atomic reads, and commits the single-coordinate
+// update with an atomic add.
+type asyncRule[T sparse.Value] struct {
+	rows, cols sparse.View[T]
+	norm2      []float64
+	beta       float64
+	x, b       []float64
+}
+
+func (k *asyncRule[T]) step(_ int, picks []int32) {
+	x, b := k.x, k.b
+	for _, p := range picks {
+		j := int(p)
+		rows, vals := k.cols.Line(j)
+		var g float64
+		for t, i := range rows {
+			g += float64(vals[t]) * (b[i] - k.rows.DotAtomic(i, x))
+		}
+		atomicfloat.Add(&x[j], k.beta*g/k.norm2[j])
+	}
+}
+
 // Iterations runs m coordinate steps on x and returns nothing; use
-// ResidualNorm or LSQResidual for progress metrics.
+// ResidualNorm or LSQResidual for progress metrics. The column drawn at
+// step it is uniform, or ‖A e_j‖²-weighted through the O(1) alias table
+// under NormWeighted — a pure function of (seed, it) either way, so the
+// chunk size never changes the update multiset.
 func (s *Solver) Iterations(x, b []float64, m int) {
 	if len(x) != s.a.Cols || len(b) != s.a.Rows {
 		panic("lsq: shape mismatch")
 	}
-	stream := rng.NewStream(s.opts.Seed)
-	start := s.next
-	end := start + uint64(m)
-	if s.opts.Workers <= 1 {
-		s.runSequential(x, b, stream, start, end)
-	} else {
-		s.runAsync(x, b, stream, start, end)
+	c := coord.Config{
+		Sampler: coord.Uniform(s.a.Cols), Stream: rng.NewStream(s.opts.Seed),
+		Workers: s.opts.Workers, Chunk: s.opts.Chunk, RowBytes: s.rowBytes,
 	}
-	s.next = end
-}
-
-// pickCol maps iteration index it to a column: uniform, or the
-// ‖A e_j‖²-weighted O(1) alias draw under NormWeighted. A pure function
-// of (seed, it) either way.
-func (s *Solver) pickCol(stream rng.Stream, it uint64) int {
 	if s.tab != nil {
-		return s.tab.Pick(stream, it)
+		c.Sampler = coord.Weighted(s.tab)
 	}
-	return stream.IntnAt(it, s.a.Cols)
-}
-
-// runSequential is iteration (20): the residual r = b − A·x is maintained
-// incrementally, giving the cheap O(nnz(col)) step.
-func (s *Solver) runSequential(x, b []float64, stream rng.Stream, start, end uint64) {
-	r := make([]float64, s.a.Rows)
-	s.mulVec(r, x)
-	vec.Sub(r, b, r)
-	if s.csc32 != nil {
-		for it := start; it < end; it++ {
-			j := s.pickCol(stream, it)
-			rows, vals := s.csc32.Col(j)
-			var g float64
-			for k, i := range rows {
-				g += float64(vals[k]) * r[i]
-			}
-			gamma := s.beta * g / s.colNorm2[j]
-			x[j] += gamma
-			for k, i := range rows {
-				r[i] -= gamma * float64(vals[k])
-			}
+	start := s.next
+	s.next += uint64(m)
+	if c.Workers <= 1 {
+		r := make([]float64, s.a.Rows)
+		s.mulVec(r, x)
+		vec.Sub(r, b, r)
+		if s.csc32 != nil {
+			k := &seqRule[float32]{s.csc32.View(), s.colNorm2, s.beta, x, r}
+			coord.Run(&c, start, s.next, k.step)
+		} else {
+			k := &seqRule[float64]{s.csc.View(), s.colNorm2, s.beta, x, r}
+			coord.Run(&c, start, s.next, k.step)
 		}
 		return
 	}
-	for it := start; it < end; it++ {
-		j := s.pickCol(stream, it)
-		rows, vals := s.csc.Col(j)
-		var g float64
-		for k, i := range rows {
-			g += vals[k] * r[i]
-		}
-		gamma := s.beta * g / s.colNorm2[j]
-		x[j] += gamma
-		for k, i := range rows {
-			r[i] -= gamma * vals[k]
-		}
+	if s.csc32 != nil {
+		k := &asyncRule[float32]{s.a32.View(), s.csc32.View(), s.colNorm2, s.beta, x, b}
+		coord.Run(&c, start, s.next, k.step)
+	} else {
+		k := &asyncRule[float64]{s.a.View(), s.csc.View(), s.colNorm2, s.beta, x, b}
+		coord.Run(&c, start, s.next, k.step)
 	}
-}
-
-// runAsync is iteration (21): workers share x, each step recomputes the
-// relevant residual entries (A_i·x for rows i touching column j) with
-// plain reads, and commits the single-coordinate update atomically.
-func (s *Solver) runAsync(x, b []float64, stream rng.Stream, start, end uint64) {
-	// Chunked claiming: one CAS per chunk of indices instead of one per
-	// coordinate step takes the shared counter off the critical path.
-	chunk := s.chunkSize(end - start)
-	var counter atomic.Uint64
-	counter.Store(start)
-	var wg sync.WaitGroup
-	for w := 0; w < s.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//asyrgs:boundedloop the claimed counter is monotone; every pass claims chunk>=1 indices and exits once base passes end
-			for {
-				base := counter.Add(uint64(chunk)) - uint64(chunk)
-				if base >= end {
-					return
-				}
-				top := base + uint64(chunk)
-				if top > end {
-					top = end
-				}
-				if s.csc32 != nil {
-					for it := base; it < top; it++ {
-						j := s.pickCol(stream, it)
-						rows, vals := s.csc32.Col(j)
-						var g float64
-						for k, i := range rows {
-							g += float64(vals[k]) * (b[i] - s.a32.RowDotAtomic(i, x))
-						}
-						atomicfloat.Add(&x[j], s.beta*g/s.colNorm2[j])
-					}
-					continue
-				}
-				for it := base; it < top; it++ {
-					j := s.pickCol(stream, it)
-					rows, vals := s.csc.Col(j)
-					var g float64
-					for k, i := range rows {
-						g += vals[k] * (b[i] - s.a.RowDotAtomic(i, x))
-					}
-					atomicfloat.Add(&x[j], s.beta*g/s.colNorm2[j])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// chunkSize resolves the claiming granularity (see claim.SizeFor).
-func (s *Solver) chunkSize(total uint64) int {
-	return claim.SizeFor(s.opts.Chunk, total, s.opts.Workers, s.rowBytes)
 }
 
 // mulVec computes r ← A·x through the active-precision view.

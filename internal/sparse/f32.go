@@ -38,25 +38,7 @@ func (m *CSR32) ValueBytes() int { return 4 * len(m.Vals) }
 // RowDot returns A32_i · x with float64 accumulation.
 func (m *CSR32) RowDot(i int, x []float64) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dot32(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
-}
-
-// RowDotAtomic is RowDot with atomic (inconsistent-read) loads of x.
-func (m *CSR32) RowDotAtomic(i int, x []float64) float64 {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dot32Atomic(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
-}
-
-// RowAxpy adds g·A32_i into x (x[j] += g·a_ij over row i's entries).
-func (m *CSR32) RowAxpy(i int, x []float64, g float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	scatter32(x, m.Vals[lo:hi], m.ColIdx[lo:hi], g)
-}
-
-// RowAxpyAtomic is RowAxpy with CAS adds for concurrent writers.
-func (m *CSR32) RowAxpyAtomic(i int, x []float64, g float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	scatter32Atomic(x, m.Vals[lo:hi], m.ColIdx[lo:hi], g)
+	return dot(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
 }
 
 // MulVec computes y ← A32·x serially.
@@ -142,6 +124,6 @@ func (c *CSC32) MulTransVec(y, x []float64) {
 	}
 	for j := 0; j < c.Cols; j++ {
 		lo, hi := c.ColPtr[j], c.ColPtr[j+1]
-		y[j] = dot32(c.Vals[lo:hi], c.RowIdx[lo:hi], x)
+		y[j] = dot(c.Vals[lo:hi], c.RowIdx[lo:hi], x)
 	}
 }

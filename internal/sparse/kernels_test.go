@@ -5,16 +5,52 @@ package sparse
 // summation: results match the scalar reference to a relative rounding
 // bound, not bitwise. The bound used here is c·ε·Σ|v·x| with a generous
 // constant — any indexing or dispatch bug exceeds it by many orders of
-// magnitude. With SetScalarKernels(true) the dispatch must return the
-// reference result bit-exactly. The float32 kernels are pinned against
-// the float64 reference within the documented 2⁻²⁴ storage-rounding
-// model.
+// magnitude. The float32 kernels are pinned against the float64
+// reference within the documented 2⁻²⁴ storage-rounding model. The
+// scalar reference loops live here, next to the tests and benchmarks
+// that compare against them.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// --- scalar reference loops ---
+
+func dotRef64(vals []float64, idx []int, x []float64) float64 {
+	var s float64
+	for k, v := range vals {
+		s += v * x[idx[k]]
+	}
+	return s
+}
+
+func dotRef32(vals []float32, idx []int, x []float64) float64 {
+	var s float64
+	for k, v := range vals {
+		s += float64(v) * x[idx[k]]
+	}
+	return s
+}
+
+func scatterRef64(x []float64, vals []float64, idx []int, g float64) {
+	for k, v := range vals {
+		x[idx[k]] += g * v
+	}
+}
+
+func scatterRef32(x []float64, vals []float32, idx []int, g float64) {
+	for k, v := range vals {
+		x[idx[k]] += g * float64(v)
+	}
+}
+
+func axpyRef(dst, src []float64, a float64) {
+	for i, v := range src {
+		dst[i] += a * v
+	}
+}
 
 // kernelCase builds a random gather-dot instance: n values, indices into
 // an m-vector (with repeats, like a sparse row), and the dense vector.
@@ -48,28 +84,16 @@ func dotBound(n int, scale float64) float64 {
 }
 
 func TestDotKernelsMatchScalarReference(t *testing.T) {
-	defer SetScalarKernels(false)
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257} {
 		vals, idx, x := kernelCase(r, n, 4*n+8)
 		want := dotRef64(vals, idx, x)
 		scale := absDot(vals, idx, x)
-
-		SetScalarKernels(false)
-		if got := dot64(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
-			t.Fatalf("n=%d: dot64=%g ref=%g gap=%g", n, got, want, got-want)
+		if got := dot(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+			t.Fatalf("n=%d: dot=%g ref=%g gap=%g", n, got, want, got-want)
 		}
-		if got := dot64Atomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
-			t.Fatalf("n=%d: dot64Atomic=%g ref=%g", n, got, want)
-		}
-		// The scalar toggle must reproduce the reference bit-exactly —
-		// that is what makes it a valid ablation baseline.
-		SetScalarKernels(true)
-		if got := dot64(vals, idx, x); got != want {
-			t.Fatalf("n=%d: scalar-dispatch dot64 %g != ref %g", n, got, want)
-		}
-		if got := dot64Atomic(vals, idx, x); got != dotRef64Atomic(vals, idx, x) {
-			t.Fatalf("n=%d: scalar-dispatch dot64Atomic mismatch", n)
+		if got := dotAtomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+			t.Fatalf("n=%d: dotAtomic=%g ref=%g", n, got, want)
 		}
 	}
 }
@@ -87,29 +111,26 @@ func TestFloat32DotWithinStorageRoundingModel(t *testing.T) {
 		// Each value is perturbed by ≤ 2⁻²⁴ relative; the dot moves by at
 		// most Σ|v·x|·2⁻²⁴ plus accumulation noise.
 		bound := scale*3*0x1p-24 + dotBound(n, scale)
-		for _, scalar := range []bool{false, true} {
-			SetScalarKernels(scalar)
-			if got := dot32(vals32, idx, x); math.Abs(got-want) > bound {
-				t.Fatalf("n=%d scalar=%v: dot32=%g ref64=%g gap=%g > %g", n, scalar, got, want, got-want, bound)
-			}
-			if got := dot32Atomic(vals32, idx, x); math.Abs(got-want) > bound {
-				t.Fatalf("n=%d scalar=%v: dot32Atomic gap too large", n, scalar)
-			}
+		if got := dotRef32(vals32, idx, x); math.Abs(got-want) > bound {
+			t.Fatalf("n=%d: scalar f32 dot=%g ref64=%g gap=%g > %g", n, got, want, got-want, bound)
 		}
-		SetScalarKernels(false)
+		if got := dot(vals32, idx, x); math.Abs(got-want) > bound {
+			t.Fatalf("n=%d: f32 dot=%g ref64=%g gap=%g > %g", n, got, want, got-want, bound)
+		}
+		if got := dotAtomic(vals32, idx, x); math.Abs(got-want) > bound {
+			t.Fatalf("n=%d: f32 dotAtomic gap too large", n)
+		}
 		// f64 accumulation over exactly-representable f32 values: the
 		// unrolled and scalar f32 kernels see identical summands, so they
 		// agree to the reorder bound among themselves.
-		a, b := dot32(vals32, idx, x), dotRef32(vals32, idx, x)
+		a, b := dot(vals32, idx, x), dotRef32(vals32, idx, x)
 		if math.Abs(a-b) > dotBound(n, scale) {
-			t.Fatalf("n=%d: dot32 %g vs its own ref %g", n, a, b)
+			t.Fatalf("n=%d: f32 dot %g vs its own ref %g", n, a, b)
 		}
 	}
-	SetScalarKernels(false)
 }
 
 func TestScatterKernelsMatchScalarReference(t *testing.T) {
-	defer SetScalarKernels(false)
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 17, 64, 129} {
 		vals := make([]float64, n)
@@ -128,13 +149,12 @@ func TestScatterKernelsMatchScalarReference(t *testing.T) {
 			want[i], got[i] = v, v
 		}
 		scatterRef64(want, vals, idx, g)
-		SetScalarKernels(false)
-		scatter64(got, vals, idx, g)
+		scatter(got, vals, idx, g)
 		for i := range want {
 			// Identical per-slot arithmetic, just issued out of order —
 			// bit-exact.
 			if got[i] != want[i] {
-				t.Fatalf("n=%d: scatter64 slot %d %g != %g", n, i, got[i], want[i])
+				t.Fatalf("n=%d: f64 scatter slot %d %g != %g", n, i, got[i], want[i])
 			}
 		}
 		// float32 scatter: same update order per slot, f32-rounded values.
@@ -146,19 +166,17 @@ func TestScatterKernelsMatchScalarReference(t *testing.T) {
 		ref32 := make([]float64, len(want))
 		copy(got32, want)
 		copy(ref32, want)
-		scatter32(got32, vals32, idx, g)
-		SetScalarKernels(true)
-		scatter32(ref32, vals32, idx, g)
+		scatter(got32, vals32, idx, g)
+		scatterRef32(ref32, vals32, idx, g)
 		for i := range got32 {
 			if got32[i] != ref32[i] {
-				t.Fatalf("n=%d: scatter32 slot %d mismatch", n, i)
+				t.Fatalf("n=%d: f32 scatter slot %d mismatch", n, i)
 			}
 		}
 	}
 }
 
 func TestAxpyMatchesReference(t *testing.T) {
-	defer SetScalarKernels(false)
 	r := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 3, 4, 7, 8, 51, 128} {
 		src := make([]float64, n)
@@ -171,7 +189,6 @@ func TestAxpyMatchesReference(t *testing.T) {
 		}
 		a := r.NormFloat64()
 		axpyRef(want, src, a)
-		SetScalarKernels(false)
 		Axpy(got, src, a)
 		for i := range want {
 			if got[i] != want[i] { // per-slot arithmetic is identical
@@ -228,7 +245,7 @@ func TestCSR32SharesStructure(t *testing.T) {
 }
 
 // FuzzDotKernels cross-checks the unrolled, atomic and f32 dot kernels
-// against the scalar reference on fuzz-generated rows.
+// against the scalar reference loops on fuzz-generated rows.
 func FuzzDotKernels(f *testing.F) {
 	f.Add(uint64(1), 8)
 	f.Add(uint64(42), 65)
@@ -242,19 +259,19 @@ func FuzzDotKernels(f *testing.F) {
 		vals, idx, x := kernelCase(r, n, n+8)
 		want := dotRef64(vals, idx, x)
 		scale := absDot(vals, idx, x)
-		if got := dot64(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
-			t.Fatalf("dot64 diverged: %g vs %g (n=%d)", got, want, n)
+		if got := dot(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+			t.Fatalf("f64 dot diverged: %g vs %g (n=%d)", got, want, n)
 		}
-		if got := dot64Atomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
-			t.Fatalf("dot64Atomic diverged: %g vs %g (n=%d)", got, want, n)
+		if got := dotAtomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+			t.Fatalf("f64 dotAtomic diverged: %g vs %g (n=%d)", got, want, n)
 		}
 		vals32 := make([]float32, n)
 		for k, v := range vals {
 			vals32[k] = float32(v)
 		}
 		bound := scale*3*0x1p-24 + dotBound(n, scale)
-		if got := dot32(vals32, idx, x); math.Abs(got-want) > bound {
-			t.Fatalf("dot32 outside storage-rounding model: %g vs %g (n=%d)", got, want, n)
+		if got := dot(vals32, idx, x); math.Abs(got-want) > bound {
+			t.Fatalf("f32 dot outside storage-rounding model: %g vs %g (n=%d)", got, want, n)
 		}
 	})
 }
@@ -282,7 +299,7 @@ func FuzzScatterKernels(f *testing.F) {
 			want[i], got[i] = v, v
 		}
 		scatterRef64(want, vals, idx, g)
-		scatter64(got, vals, idx, g)
+		scatter(got, vals, idx, g)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("slot %d: %g != %g (n=%d)", i, got[i], want[i], n)
@@ -291,9 +308,9 @@ func FuzzScatterKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkRowDot measures the gather-dot kernel across the dispatch
-// grid: scalar baseline, unrolled, and the f32-storage variant. The
-// acceptance gate (unrolled beats scalar) is recorded via BENCH_hotpath.
+// BenchmarkRowDot measures the gather-dot kernel against the scalar
+// reference loop: unrolled, unrolled with atomic loads, and the
+// f32-storage instantiation.
 func BenchmarkRowDot(b *testing.B) {
 	const n, m = 64, 1 << 16
 	r := rand.New(rand.NewSource(5))
@@ -304,25 +321,23 @@ func BenchmarkRowDot(b *testing.B) {
 	}
 	var sink float64
 	b.Run("scalar", func(b *testing.B) {
-		SetScalarKernels(true)
-		defer SetScalarKernels(false)
 		for i := 0; i < b.N; i++ {
-			sink += dot64(vals, idx, x)
+			sink += dotRef64(vals, idx, x)
 		}
 	})
 	b.Run("unrolled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dot64(vals, idx, x)
+			sink += dot(vals, idx, x)
 		}
 	})
 	b.Run("unrolled-atomic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dot64Atomic(vals, idx, x)
+			sink += dotAtomic(vals, idx, x)
 		}
 	})
 	b.Run("f32", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dot32(vals32, idx, x)
+			sink += dot(vals32, idx, x)
 		}
 	})
 	if sink == math.Inf(1) {
@@ -339,10 +354,8 @@ func BenchmarkAxpy(b *testing.B) {
 		src[i] = float64(i)
 	}
 	b.Run("scalar", func(b *testing.B) {
-		SetScalarKernels(true)
-		defer SetScalarKernels(false)
 		for i := 0; i < b.N; i++ {
-			Axpy(dst, src, 1e-9)
+			axpyRef(dst, src, 1e-9)
 		}
 	})
 	b.Run("unrolled", func(b *testing.B) {

@@ -187,20 +187,7 @@ func (m *CSR) MulVec(y, x []float64) {
 // unrolled gather-dot kernel (see kernels.go).
 func (m *CSR) RowDot(i int, x []float64) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dot64(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
-}
-
-// RowAxpy adds g·A_i into x (x[j] += g·a_ij over row i's entries) — the
-// Kaczmarz-style scatter update, through the unrolled scatter kernel.
-func (m *CSR) RowAxpy(i int, x []float64, g float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	scatter64(x, m.Vals[lo:hi], m.ColIdx[lo:hi], g)
-}
-
-// RowAxpyAtomic is RowAxpy with CAS adds for concurrent writers.
-func (m *CSR) RowAxpyAtomic(i int, x []float64, g float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	scatter64Atomic(x, m.Vals[lo:hi], m.ColIdx[lo:hi], g)
+	return dot(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
 }
 
 // Partition selects how rows are assigned to workers in MulVecPar.
