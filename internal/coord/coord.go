@@ -78,11 +78,11 @@ func Run(c *Config, start, end uint64, body Body) {
 	if p := uint64(c.SyncPeriod); p > 0 {
 		// Occasional synchronization: run in barriers of p iterations.
 		for lo := start; lo < end; lo += p {
-			c.segment(lo, min(lo+p, end), body)
+			segment(c, lo, min(lo+p, end), body)
 		}
 		return
 	}
-	c.segment(start, end, body)
+	segment(c, start, end, body)
 }
 
 // Inline is Run's single-worker path: it executes [start, end) in order
@@ -117,73 +117,72 @@ func Inline(c *Config, start, end uint64, picks []int32, body Body) {
 // each worker instead receives its own contiguous slice of the range, so
 // every block gets its share regardless of scheduling — which is also how
 // a distributed deployment behaves.
-func (c *Config) segment(lo, hi uint64, body Body) {
-	chunk := uint64(1)
+func segment(c *Config, lo, hi uint64, body Body) {
+	t := &team{c: *c, body: body, chunk: 1, shared: c.Sampler.kind != samplerPartitioned}
 	if c.Delay == nil {
-		chunk = uint64(claim.SizeFor(c.Chunk, hi-lo, c.Workers, c.RowBytes))
+		t.chunk = uint64(claim.SizeFor(c.Chunk, hi-lo, c.Workers, c.RowBytes))
 	}
-	owned := c.Sampler.kind == samplerPartitioned
-	var claimed atomic.Uint64
-	if !owned {
-		claimed.Store(lo)
+	if t.shared {
+		t.claimed.Store(lo)
 	}
+	// One direction buffer for the team, each worker's slice padded to
+	// whole 64-byte lines so no two workers write the same line.
+	stride := (t.chunk + 15) &^ 15
+	picks := make([]int32, uint64(c.Workers)*stride)
 	span, p := hi-lo, uint64(c.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < c.Workers; w++ {
-		k := &worker{c: c, id: w, body: body, chunk: chunk, claimed: &claimed, shared: !owned, hi: hi}
-		if owned {
-			k.lo, k.hi = lo+uint64(w)*span/p, lo+uint64(w+1)*span/p
+	t.wg.Add(c.Workers)
+	for w := uint64(0); w < p; w++ {
+		wlo, whi := lo, hi
+		if !t.shared {
+			wlo, whi = lo+w*span/p, lo+(w+1)*span/p
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			k.run()
-		}()
+		go t.work(int(w), wlo, whi, picks[w*stride:w*stride+t.chunk])
 	}
-	wg.Wait()
+	t.wg.Wait()
 }
 
-// worker is one goroutine of a segment.
-type worker struct {
-	c      *Config
-	id     int
+// team is the state one segment's workers share.
+type team struct {
+	c      Config
 	body   Body
 	chunk  uint64
-	lo, hi uint64 // owned slice [lo, hi); with a shared counter only hi is used
-	shared bool
+	shared bool // claim from the counter; otherwise walk an owned slice
 	// claimed is the segment's claim count: the shared counter itself,
 	// or, with owned slices, a counter each worker advances per claimed
 	// index when measuring delay.
-	claimed *atomic.Uint64
+	claimed atomic.Uint64
+	wg      sync.WaitGroup
 }
 
-// run claims chunks until the worker's range is exhausted: one atomic add
-// per chunk instead of one per iteration, with the chunk's directions
-// generated into a local buffer in a single pass.
-func (k *worker) run() {
-	c := k.c
-	picks := make([]int32, k.chunk)
-	next := k.lo
-	perIteration := c.Throttle != nil || c.Delay != nil
+// work claims chunks until worker w's range [lo, hi) is exhausted (with
+// a shared counter only hi bounds it): one atomic add per chunk instead
+// of one per iteration, with the chunk's directions generated into picks
+// in a single pass.
+func (t *team) work(w int, lo, hi uint64, picks []int32) {
+	defer t.wg.Done()
+	// Locals keep the loop off the line the shared counter bounces on.
+	smp, stream, body, chunk, shared := t.c.Sampler, t.c.Stream, t.body, t.chunk, t.shared
+	perIteration := t.c.Throttle != nil || t.c.Delay != nil
+	next := lo
 	//asyrgs:boundedloop both claim sources are monotone; every pass takes chunk>=1 indices and exits once base passes hi
 	for {
 		base := next
-		if k.shared {
-			base = k.claimed.Add(k.chunk) - k.chunk
+		if shared {
+			base = t.claimed.Add(chunk) - chunk
 		}
-		if base >= k.hi {
+		if base >= hi {
 			return
 		}
-		top := min(base+k.chunk, k.hi)
+		top := min(base+chunk, hi)
 		next = top
 		m := picks[:top-base]
-		c.Sampler.Fill(c.Stream, base, m, k.id)
+		smp.Fill(stream, base, m, w)
 		if !perIteration {
-			k.body(k.id, m)
+			body(w, m)
 			continue
 		}
-		for t := range m {
-			k.step(base+uint64(t), m[t:t+1])
+		for k := range m {
+			t.step(w, base+uint64(k), m[k:k+1])
 		}
 	}
 }
@@ -194,22 +193,22 @@ func (k *worker) run() {
 // updates it may have missed. The mark is taken at the claim, before
 // Throttle and the read phase, so a stall anywhere inside the iteration
 // is seen.
-func (k *worker) step(j uint64, pick []int32) {
-	c := k.c
+func (t *team) step(w int, j uint64, pick []int32) {
+	c := &t.c
 	var mark uint64
 	if c.Delay != nil {
-		if k.shared {
+		if t.shared {
 			mark = j + 1 // chunk 1: claiming j advanced the counter to j+1
 		} else {
-			mark = k.claimed.Add(1)
+			mark = t.claimed.Add(1)
 		}
 	}
 	if c.Throttle != nil {
-		c.Throttle(k.id, j)
+		c.Throttle(w, j)
 	}
-	k.body(k.id, pick)
+	t.body(w, pick)
 	if c.Delay != nil {
-		c.Delay.observe(k.claimed.Load() - mark)
+		c.Delay.observe(t.claimed.Load() - mark)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "github.com/asynclinalg/asyrgs/internal/vec"
+import (
+	"github.com/asynclinalg/asyrgs/internal/coord"
+	"github.com/asynclinalg/asyrgs/internal/vec"
+)
 
 // AsyncSweeps runs sweeps·n asynchronous iterations of AsyRGS with
 // Options.Workers goroutines sharing the iterate x, then returns once every
@@ -29,13 +32,13 @@ func (s *Solver) AsyncSweeps(x, b []float64, sweeps int) {
 	}
 	c := s.config(workers)
 	start, end := s.advance(sweeps)
+	var body coord.Body
 	if s.a32 != nil {
-		k := &vecRule[float32]{s.a32.View(), s.invD, s.beta, x, b}
-		s.run(&c, start, end, k.plain, k.atomic)
+		body = vecRule[float32]{s.a32.View(), s.invD, s.beta, x, b}.body(workers, s.opts.NonAtomic)
 	} else {
-		k := &vecRule[float64]{s.a.View(), s.invD, s.beta, x, b}
-		s.run(&c, start, end, k.plain, k.atomic)
+		body = vecRule[float64]{s.a.View(), s.invD, s.beta, x, b}.body(workers, s.opts.NonAtomic)
 	}
+	coord.Run(&c, start, end, body)
 }
 
 // AsyncSweepsDense is AsyncSweeps for a row-major multi-right-hand-side

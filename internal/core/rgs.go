@@ -21,7 +21,7 @@ type vecRule[T sparse.Value] struct {
 
 // plain runs a chunk with plain loads and stores: the synchronous
 // iteration, and the NonAtomic ablation when run by several workers.
-func (k *vecRule[T]) plain(_ int, picks []int32) {
+func (k vecRule[T]) plain(_ int, picks []int32) {
 	a, invD, beta, x, b := k.a, k.invD, k.beta, k.x, k.b
 	for _, p := range picks {
 		r := int(p)
@@ -35,13 +35,24 @@ func (k *vecRule[T]) plain(_ int, picks []int32) {
 // (iteration (9)). Atomic loads cost nothing on mainstream hardware and
 // keep the execution free of data races; the commit is an atomic add
 // (Assumption A-1).
-func (k *vecRule[T]) atomic(_ int, picks []int32) {
+func (k vecRule[T]) atomic(_ int, picks []int32) {
 	a, invD, beta, x, b := k.a, k.invD, k.beta, k.x, k.b
 	for _, p := range picks {
 		r := int(p)
 		gamma := (b[r] - a.DotAtomic(r, x)) * invD[r]
 		atomicfloat.Add(&x[r], beta*gamma)
 	}
+}
+
+// body returns the rule's chunk body for a run on the given worker count,
+// its atomicity chosen once, before any worker starts: plain accesses for
+// one worker or the NonAtomic ablation, atomic reads and commits
+// otherwise.
+func (k vecRule[T]) body(workers int, nonAtomic bool) coord.Body {
+	if workers > 1 && !nonAtomic {
+		return k.atomic
+	}
+	return k.plain
 }
 
 // blockRule is vecRule for a row-major multi-right-hand-side block: all
@@ -55,7 +66,7 @@ type blockRule[T sparse.Value] struct {
 	gamma []float64
 }
 
-func (k *blockRule[T]) plain(w int, picks []int32) {
+func (k blockRule[T]) plain(w int, picks []int32) {
 	a, x, b, c := k.a, k.x, k.b, k.x.Cols
 	gamma := k.gamma[w*c : (w+1)*c]
 	for _, p := range picks {
@@ -69,7 +80,7 @@ func (k *blockRule[T]) plain(w int, picks []int32) {
 	}
 }
 
-func (k *blockRule[T]) atomic(w int, picks []int32) {
+func (k blockRule[T]) atomic(w int, picks []int32) {
 	a, x, b, c := k.a, k.x, k.b, k.x.Cols
 	gamma := k.gamma[w*c : (w+1)*c]
 	for _, p := range picks {
@@ -85,6 +96,14 @@ func (k *blockRule[T]) atomic(w int, picks []int32) {
 			atomicfloat.Add(&xrow[col], scale*gamma[col])
 		}
 	}
+}
+
+// body is vecRule.body for the block rule.
+func (k blockRule[T]) body(workers int, nonAtomic bool) coord.Body {
+	if workers > 1 && !nonAtomic {
+		return k.atomic
+	}
+	return k.plain
 }
 
 // seqPicks returns the solver's reusable direction buffer, lazily sized.
@@ -177,23 +196,13 @@ func (s *Solver) runDense(x, b *vec.Dense, sweeps, workers int) {
 	c := s.config(workers)
 	start, end := s.advance(sweeps)
 	gamma := make([]float64, max(c.Workers, 1)*x.Cols)
+	var body coord.Body
 	if s.a32 != nil {
-		k := &blockRule[float32]{s.a32.View(), s.invD, s.beta, x, b, gamma}
-		s.run(&c, start, end, k.plain, k.atomic)
+		body = blockRule[float32]{s.a32.View(), s.invD, s.beta, x, b, gamma}.body(c.Workers, s.opts.NonAtomic)
 	} else {
-		k := &blockRule[float64]{s.a.View(), s.invD, s.beta, x, b, gamma}
-		s.run(&c, start, end, k.plain, k.atomic)
+		body = blockRule[float64]{s.a.View(), s.invD, s.beta, x, b, gamma}.body(c.Workers, s.opts.NonAtomic)
 	}
-}
-
-// run executes [start, end) with the rule's atomicity chosen once, before
-// any worker starts: plain accesses for one worker or the NonAtomic
-// ablation, atomic reads and commits otherwise.
-func (s *Solver) run(c *coord.Config, start, end uint64, plain, atomic coord.Body) {
-	if c.Workers > 1 && !s.opts.NonAtomic {
-		plain = atomic
-	}
-	coord.Run(c, start, end, plain)
+	coord.Run(&c, start, end, body)
 }
 
 // Solve iterates synchronously until the relative residual drops below tol

@@ -227,7 +227,7 @@ type projRule[T sparse.Value] struct {
 	x, b  []float64
 }
 
-func (k *projRule[T]) plain(_ int, picks []int32) {
+func (k projRule[T]) plain(_ int, picks []int32) {
 	a, x, b := k.a, k.x, k.b
 	for _, p := range picks {
 		i := int(p)
@@ -236,7 +236,7 @@ func (k *projRule[T]) plain(_ int, picks []int32) {
 }
 
 // atomic is plain with atomic reads and CAS adds, for several workers.
-func (k *projRule[T]) atomic(_ int, picks []int32) {
+func (k projRule[T]) atomic(_ int, picks []int32) {
 	a, x, b := k.a, k.x, k.b
 	for _, p := range picks {
 		i := int(p)
@@ -245,7 +245,7 @@ func (k *projRule[T]) atomic(_ int, picks []int32) {
 }
 
 // body picks the rule's atomicity for a run on the given worker count.
-func (k *projRule[T]) body(workers int) coord.Body {
+func (k projRule[T]) body(workers int) coord.Body {
 	if workers > 1 {
 		return k.atomic
 	}
@@ -266,13 +266,13 @@ func (s *Solver) Iterations(x, b []float64, m int) float64 {
 	}
 	start := s.next
 	s.next += uint64(m)
+	var body coord.Body
 	if s.a32 != nil {
-		k := &projRule[float32]{s.a32.View(), s.rowNorm2, s.beta, x, b}
-		coord.Run(&c, start, s.next, k.body(c.Workers))
+		body = projRule[float32]{s.a32.View(), s.rowNorm2, s.beta, x, b}.body(c.Workers)
 	} else {
-		k := &projRule[float64]{s.a.View(), s.rowNorm2, s.beta, x, b}
-		coord.Run(&c, start, s.next, k.body(c.Workers))
+		body = projRule[float64]{s.a.View(), s.rowNorm2, s.beta, x, b}.body(c.Workers)
 	}
+	coord.Run(&c, start, s.next, body)
 	return s.Residual(x, b)
 }
 

@@ -278,7 +278,7 @@ type seqRule[T sparse.Value] struct {
 	x, r  []float64
 }
 
-func (k *seqRule[T]) step(_ int, picks []int32) {
+func (k seqRule[T]) step(_ int, picks []int32) {
 	x, r := k.x, k.r
 	for _, p := range picks {
 		j := int(p)
@@ -306,7 +306,7 @@ type asyncRule[T sparse.Value] struct {
 	x, b       []float64
 }
 
-func (k *asyncRule[T]) step(_ int, picks []int32) {
+func (k asyncRule[T]) step(_ int, picks []int32) {
 	x, b := k.x, k.b
 	for _, p := range picks {
 		j := int(p)
@@ -335,28 +335,28 @@ func (s *Solver) Iterations(x, b []float64, m int) {
 	if s.tab != nil {
 		c.Sampler = coord.Weighted(s.tab)
 	}
+	var body coord.Body
+	switch {
+	case c.Workers <= 1 && s.csc32 != nil:
+		body = seqRule[float32]{s.csc32.View(), s.colNorm2, s.beta, x, s.residual(x, b)}.step
+	case c.Workers <= 1:
+		body = seqRule[float64]{s.csc.View(), s.colNorm2, s.beta, x, s.residual(x, b)}.step
+	case s.csc32 != nil:
+		body = asyncRule[float32]{s.a32.View(), s.csc32.View(), s.colNorm2, s.beta, x, b}.step
+	default:
+		body = asyncRule[float64]{s.a.View(), s.csc.View(), s.colNorm2, s.beta, x, b}.step
+	}
 	start := s.next
 	s.next += uint64(m)
-	if c.Workers <= 1 {
-		r := make([]float64, s.a.Rows)
-		s.mulVec(r, x)
-		vec.Sub(r, b, r)
-		if s.csc32 != nil {
-			k := &seqRule[float32]{s.csc32.View(), s.colNorm2, s.beta, x, r}
-			coord.Run(&c, start, s.next, k.step)
-		} else {
-			k := &seqRule[float64]{s.csc.View(), s.colNorm2, s.beta, x, r}
-			coord.Run(&c, start, s.next, k.step)
-		}
-		return
-	}
-	if s.csc32 != nil {
-		k := &asyncRule[float32]{s.a32.View(), s.csc32.View(), s.colNorm2, s.beta, x, b}
-		coord.Run(&c, start, s.next, k.step)
-	} else {
-		k := &asyncRule[float64]{s.a.View(), s.csc.View(), s.colNorm2, s.beta, x, b}
-		coord.Run(&c, start, s.next, k.step)
-	}
+	coord.Run(&c, start, s.next, body)
+}
+
+// residual returns a fresh r = b − A·x through the active-precision view.
+func (s *Solver) residual(x, b []float64) []float64 {
+	r := make([]float64, s.a.Rows)
+	s.mulVec(r, x)
+	vec.Sub(r, b, r)
+	return r
 }
 
 // mulVec computes r ← A·x through the active-precision view.
@@ -373,9 +373,7 @@ func (s *Solver) mulVec(r, x []float64) {
 // both products go through the rounded views, so it vanishes at the
 // minimizer of the rounded system.
 func (s *Solver) LSQResidual(x, b []float64) float64 {
-	r := make([]float64, s.a.Rows)
-	s.mulVec(r, x)
-	vec.Sub(r, b, r)
+	r := s.residual(x, b)
 	atr := make([]float64, s.a.Cols)
 	if s.csc32 != nil {
 		s.csc32.MulTransVec(atr, r)
@@ -388,10 +386,7 @@ func (s *Solver) LSQResidual(x, b []float64) float64 {
 // ResidualNorm returns ‖b − A·x‖₂ (does not vanish for inconsistent
 // systems; compare against the optimal value).
 func (s *Solver) ResidualNorm(x, b []float64) float64 {
-	r := make([]float64, s.a.Rows)
-	s.mulVec(r, x)
-	vec.Sub(r, b, r)
-	return vec.Nrm2(r)
+	return vec.Nrm2(s.residual(x, b))
 }
 
 // Solve iterates until the normal-equation residual ‖Aᵀ(b−Ax)‖₂ drops
