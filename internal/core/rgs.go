@@ -25,7 +25,8 @@ func (k vecRule[T]) plain(_ int, picks []int32) {
 	a, invD, beta, x, b := k.a, k.invD, k.beta, k.x, k.b
 	for _, p := range picks {
 		r := int(p)
-		gamma := (b[r] - a.Dot(r, x)) * invD[r]
+		cols, vals := a.Line(r)
+		gamma := (b[r] - sparse.Dot(vals, cols, x)) * invD[r]
 		x[r] += beta * gamma
 	}
 }
@@ -39,7 +40,8 @@ func (k vecRule[T]) atomic(_ int, picks []int32) {
 	a, invD, beta, x, b := k.a, k.invD, k.beta, k.x, k.b
 	for _, p := range picks {
 		r := int(p)
-		gamma := (b[r] - a.DotAtomic(r, x)) * invD[r]
+		cols, vals := a.Line(r)
+		gamma := (b[r] - sparse.DotAtomic(vals, cols, x)) * invD[r]
 		atomicfloat.Add(&x[r], beta*gamma)
 	}
 }

@@ -98,7 +98,7 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 		}
 		norms[i] = nz
 	}
-	return newPrep(a, norms, "building")
+	return newPrep(a, norms)
 }
 
 // newPrep checks the row norms and builds the alias table over them. A
@@ -106,7 +106,7 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 // and negative norms are rejected. The builder re-validates the weights,
 // so non-finite norms from overflowing rows surface with a clear error
 // instead of a silently broken table.
-func newPrep(a *sparse.CSR, rowNorm2 []float64, verb string) (*Prep, error) {
+func newPrep(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
 	var total float64
 	for i, nz := range rowNorm2 {
 		if nz < 0 {
@@ -119,7 +119,7 @@ func newPrep(a *sparse.CSR, rowNorm2 []float64, verb string) (*Prep, error) {
 	}
 	tab, err := alias.New(rowNorm2)
 	if err != nil {
-		return nil, fmt.Errorf("kaczmarz: %s row-sampling table: %w", verb, err)
+		return nil, fmt.Errorf("kaczmarz: building row-sampling table: %w", err)
 	}
 	return &Prep{a: a, rowNorm2: rowNorm2, tab: tab}, nil
 }
@@ -142,7 +142,7 @@ func PrepFromState(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
 	if len(rowNorm2) != a.Rows {
 		return nil, fmt.Errorf("kaczmarz: restored state has %d row norms for a %d-row matrix", len(rowNorm2), a.Rows)
 	}
-	return newPrep(a, rowNorm2, "rebuilding")
+	return newPrep(a, rowNorm2)
 }
 
 // Matrix returns the prepared matrix (shared, do not mutate).
@@ -231,7 +231,8 @@ func (k projRule[T]) plain(_ int, picks []int32) {
 	a, x, b := k.a, k.x, k.b
 	for _, p := range picks {
 		i := int(p)
-		a.Axpy(i, x, k.beta*(b[i]-a.Dot(i, x))/k.norm2[i])
+		cols, vals := a.Line(i)
+		sparse.Scatter(x, vals, cols, k.beta*(b[i]-sparse.Dot(vals, cols, x))/k.norm2[i])
 	}
 }
 
@@ -240,7 +241,8 @@ func (k projRule[T]) atomic(_ int, picks []int32) {
 	a, x, b := k.a, k.x, k.b
 	for _, p := range picks {
 		i := int(p)
-		a.AxpyAtomic(i, x, k.beta*(b[i]-a.DotAtomic(i, x))/k.norm2[i])
+		cols, vals := a.Line(i)
+		sparse.ScatterAtomic(x, vals, cols, k.beta*(b[i]-sparse.DotAtomic(vals, cols, x))/k.norm2[i])
 	}
 }
 

@@ -313,7 +313,8 @@ func (k asyncRule[T]) step(_ int, picks []int32) {
 		rows, vals := k.cols.Line(j)
 		var g float64
 		for t, i := range rows {
-			g += float64(vals[t]) * (b[i] - k.rows.DotAtomic(i, x))
+			cols, rvals := k.rows.Line(i)
+			g += float64(vals[t]) * (b[i] - sparse.DotAtomic(rvals, cols, x))
 		}
 		atomicfloat.Add(&x[j], k.beta*g/k.norm2[j])
 	}

@@ -8,5 +8,5 @@ package sparse
 // the inconsistent-read model is about ordering, not tearing.
 func (m *CSR) RowDotAtomic(i int, x []float64) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dotAtomic(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
+	return DotAtomic(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
 }

@@ -38,7 +38,7 @@ func (m *CSR32) ValueBytes() int { return 4 * len(m.Vals) }
 // RowDot returns A32_i · x with float64 accumulation.
 func (m *CSR32) RowDot(i int, x []float64) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dot(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
+	return Dot(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
 }
 
 // MulVec computes y ← A32·x serially.
@@ -124,6 +124,6 @@ func (c *CSC32) MulTransVec(y, x []float64) {
 	}
 	for j := 0; j < c.Cols; j++ {
 		lo, hi := c.ColPtr[j], c.ColPtr[j+1]
-		y[j] = dot(c.Vals[lo:hi], c.RowIdx[lo:hi], x)
+		y[j] = Dot(c.Vals[lo:hi], c.RowIdx[lo:hi], x)
 	}
 }

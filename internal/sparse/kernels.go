@@ -26,7 +26,8 @@ func KernelName() string { return kernelName }
 
 // --- gather dot: sum_k vals[k] * x[idx[k]] ---
 
-func dot[T Value](vals []T, idx []int, x []float64) float64 {
+// Dot returns Σ_k vals[k]·x[idx[k]], accumulated in float64.
+func Dot[T Value](vals []T, idx []int, x []float64) float64 {
 	n := len(vals)
 	idx = idx[:n] // bounds-check hint
 	var s0, s1, s2, s3 float64
@@ -57,8 +58,8 @@ func dot[T Value](vals []T, idx []int, x []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// dotAtomic is dot with atomic (inconsistent-read) loads of x.
-func dotAtomic[T Value](vals []T, idx []int, x []float64) float64 {
+// DotAtomic is Dot with atomic (inconsistent-read) loads of x.
+func DotAtomic[T Value](vals []T, idx []int, x []float64) float64 {
 	n := len(vals)
 	idx = idx[:n]
 	var s0, s1, s2, s3 float64
@@ -91,7 +92,8 @@ func dotAtomic[T Value](vals []T, idx []int, x []float64) float64 {
 
 // --- scatter axpy: x[idx[k]] += g * vals[k] (Kaczmarz row update) ---
 
-func scatter[T Value](x []float64, vals []T, idx []int, g float64) {
+// Scatter adds g·vals[k] into x[idx[k]]; idx must hold distinct entries.
+func Scatter[T Value](x []float64, vals []T, idx []int, g float64) {
 	n := len(vals)
 	idx = idx[:n]
 	k := 0
@@ -108,9 +110,9 @@ func scatter[T Value](x []float64, vals []T, idx []int, g float64) {
 	}
 }
 
-// scatterAtomic is the CAS-add variant for concurrent writers. The CAS
+// ScatterAtomic is the CAS-add variant for concurrent writers. The CAS
 // loop serializes on memory anyway, so there is no unrolled form.
-func scatterAtomic[T Value](x []float64, vals []T, idx []int, g float64) {
+func ScatterAtomic[T Value](x []float64, vals []T, idx []int, g float64) {
 	for k, v := range vals {
 		atomicfloat.Add(&x[idx[k]], g*float64(v))
 	}
@@ -169,30 +171,6 @@ type View[T Value] struct {
 func (v View[T]) Line(i int) ([]int, []T) {
 	lo, hi := v.Ptr[i], v.Ptr[i+1]
 	return v.Idx[lo:hi], v.Vals[lo:hi]
-}
-
-// Dot returns line i · x, accumulated in float64.
-func (v View[T]) Dot(i int, x []float64) float64 {
-	lo, hi := v.Ptr[i], v.Ptr[i+1]
-	return dot(v.Vals[lo:hi], v.Idx[lo:hi], x)
-}
-
-// DotAtomic is Dot with atomic (inconsistent-read) loads of x.
-func (v View[T]) DotAtomic(i int, x []float64) float64 {
-	lo, hi := v.Ptr[i], v.Ptr[i+1]
-	return dotAtomic(v.Vals[lo:hi], v.Idx[lo:hi], x)
-}
-
-// Axpy adds g·(line i) into x.
-func (v View[T]) Axpy(i int, x []float64, g float64) {
-	lo, hi := v.Ptr[i], v.Ptr[i+1]
-	scatter(x, v.Vals[lo:hi], v.Idx[lo:hi], g)
-}
-
-// AxpyAtomic is Axpy with CAS adds for concurrent writers.
-func (v View[T]) AxpyAtomic(i int, x []float64, g float64) {
-	lo, hi := v.Ptr[i], v.Ptr[i+1]
-	scatterAtomic(x, v.Vals[lo:hi], v.Idx[lo:hi], g)
 }
 
 // View returns the row view of m.

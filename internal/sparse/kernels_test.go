@@ -89,10 +89,10 @@ func TestDotKernelsMatchScalarReference(t *testing.T) {
 		vals, idx, x := kernelCase(r, n, 4*n+8)
 		want := dotRef64(vals, idx, x)
 		scale := absDot(vals, idx, x)
-		if got := dot(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+		if got := Dot(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("n=%d: dot=%g ref=%g gap=%g", n, got, want, got-want)
 		}
-		if got := dotAtomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+		if got := DotAtomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("n=%d: dotAtomic=%g ref=%g", n, got, want)
 		}
 	}
@@ -114,16 +114,16 @@ func TestFloat32DotWithinStorageRoundingModel(t *testing.T) {
 		if got := dotRef32(vals32, idx, x); math.Abs(got-want) > bound {
 			t.Fatalf("n=%d: scalar f32 dot=%g ref64=%g gap=%g > %g", n, got, want, got-want, bound)
 		}
-		if got := dot(vals32, idx, x); math.Abs(got-want) > bound {
+		if got := Dot(vals32, idx, x); math.Abs(got-want) > bound {
 			t.Fatalf("n=%d: f32 dot=%g ref64=%g gap=%g > %g", n, got, want, got-want, bound)
 		}
-		if got := dotAtomic(vals32, idx, x); math.Abs(got-want) > bound {
+		if got := DotAtomic(vals32, idx, x); math.Abs(got-want) > bound {
 			t.Fatalf("n=%d: f32 dotAtomic gap too large", n)
 		}
 		// f64 accumulation over exactly-representable f32 values: the
 		// unrolled and scalar f32 kernels see identical summands, so they
 		// agree to the reorder bound among themselves.
-		a, b := dot(vals32, idx, x), dotRef32(vals32, idx, x)
+		a, b := Dot(vals32, idx, x), dotRef32(vals32, idx, x)
 		if math.Abs(a-b) > dotBound(n, scale) {
 			t.Fatalf("n=%d: f32 dot %g vs its own ref %g", n, a, b)
 		}
@@ -149,7 +149,7 @@ func TestScatterKernelsMatchScalarReference(t *testing.T) {
 			want[i], got[i] = v, v
 		}
 		scatterRef64(want, vals, idx, g)
-		scatter(got, vals, idx, g)
+		Scatter(got, vals, idx, g)
 		for i := range want {
 			// Identical per-slot arithmetic, just issued out of order —
 			// bit-exact.
@@ -166,7 +166,7 @@ func TestScatterKernelsMatchScalarReference(t *testing.T) {
 		ref32 := make([]float64, len(want))
 		copy(got32, want)
 		copy(ref32, want)
-		scatter(got32, vals32, idx, g)
+		Scatter(got32, vals32, idx, g)
 		scatterRef32(ref32, vals32, idx, g)
 		for i := range got32 {
 			if got32[i] != ref32[i] {
@@ -259,10 +259,10 @@ func FuzzDotKernels(f *testing.F) {
 		vals, idx, x := kernelCase(r, n, n+8)
 		want := dotRef64(vals, idx, x)
 		scale := absDot(vals, idx, x)
-		if got := dot(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+		if got := Dot(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("f64 dot diverged: %g vs %g (n=%d)", got, want, n)
 		}
-		if got := dotAtomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
+		if got := DotAtomic(vals, idx, x); math.Abs(got-want) > dotBound(n, scale) {
 			t.Fatalf("f64 dotAtomic diverged: %g vs %g (n=%d)", got, want, n)
 		}
 		vals32 := make([]float32, n)
@@ -270,7 +270,7 @@ func FuzzDotKernels(f *testing.F) {
 			vals32[k] = float32(v)
 		}
 		bound := scale*3*0x1p-24 + dotBound(n, scale)
-		if got := dot(vals32, idx, x); math.Abs(got-want) > bound {
+		if got := Dot(vals32, idx, x); math.Abs(got-want) > bound {
 			t.Fatalf("f32 dot outside storage-rounding model: %g vs %g (n=%d)", got, want, n)
 		}
 	})
@@ -299,7 +299,7 @@ func FuzzScatterKernels(f *testing.F) {
 			want[i], got[i] = v, v
 		}
 		scatterRef64(want, vals, idx, g)
-		scatter(got, vals, idx, g)
+		Scatter(got, vals, idx, g)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("slot %d: %g != %g (n=%d)", i, got[i], want[i], n)
@@ -327,17 +327,17 @@ func BenchmarkRowDot(b *testing.B) {
 	})
 	b.Run("unrolled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dot(vals, idx, x)
+			sink += Dot(vals, idx, x)
 		}
 	})
 	b.Run("unrolled-atomic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dotAtomic(vals, idx, x)
+			sink += DotAtomic(vals, idx, x)
 		}
 	})
 	b.Run("f32", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += dot(vals32, idx, x)
+			sink += Dot(vals32, idx, x)
 		}
 	})
 	if sink == math.Inf(1) {

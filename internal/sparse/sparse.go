@@ -187,7 +187,7 @@ func (m *CSR) MulVec(y, x []float64) {
 // unrolled gather-dot kernel (see kernels.go).
 func (m *CSR) RowDot(i int, x []float64) float64 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dot(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
+	return Dot(m.Vals[lo:hi], m.ColIdx[lo:hi], x)
 }
 
 // Partition selects how rows are assigned to workers in MulVecPar.
