@@ -57,7 +57,8 @@ type Solver struct {
 	opts     Options
 	beta     float64
 	next     uint64
-	rowBytes int // per-iteration cache footprint estimate for chunk sizing
+	rowBytes int     // per-iteration cache footprint estimate for chunk sizing
+	picks    []int32 // direction buffer of the single-worker iteration
 }
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
@@ -187,6 +188,9 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 		return nil, errors.New("kaczmarz: negative claiming chunk")
 	}
 	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, tab: p.tab, opts: opts, beta: beta}
+	if opts.Workers <= 1 {
+		s.picks = make([]int32, coord.InlineChunk)
+	}
 	valBytes := 8
 	if opts.Float32 {
 		a32, n232, err := p.float32View()
@@ -246,14 +250,6 @@ func (k projRule[T]) atomic(_ int, picks []int32) {
 	}
 }
 
-// body picks the rule's atomicity for a run on the given worker count.
-func (k projRule[T]) body(workers int) coord.Body {
-	if workers > 1 {
-		return k.atomic
-	}
-	return k.plain
-}
-
 // Iterations runs m iterations (synchronously for Workers <= 1, otherwise
 // asynchronously with atomic coordinate updates) and returns the relative
 // residual. The row drawn at iteration j is a pure function of (seed, j),
@@ -268,13 +264,16 @@ func (s *Solver) Iterations(x, b []float64, m int) float64 {
 	}
 	start := s.next
 	s.next += uint64(m)
-	var body coord.Body
-	if s.a32 != nil {
-		body = projRule[float32]{s.a32.View(), s.rowNorm2, s.beta, x, b}.body(c.Workers)
-	} else {
-		body = projRule[float64]{s.a.View(), s.rowNorm2, s.beta, x, b}.body(c.Workers)
+	switch {
+	case c.Workers > 1 && s.a32 != nil:
+		coord.Run(&c, start, s.next, projRule[float32]{s.a32.View(), s.rowNorm2, s.beta, x, b}.atomic)
+	case c.Workers > 1:
+		coord.Run(&c, start, s.next, projRule[float64]{s.a.View(), s.rowNorm2, s.beta, x, b}.atomic)
+	case s.a32 != nil:
+		coord.Inline(&c, start, s.next, s.picks, projRule[float32]{s.a32.View(), s.rowNorm2, s.beta, x, b}.plain)
+	default:
+		coord.Inline(&c, start, s.next, s.picks, projRule[float64]{s.a.View(), s.rowNorm2, s.beta, x, b}.plain)
 	}
-	coord.Run(&c, start, s.next, body)
 	return s.Residual(x, b)
 }
 

@@ -75,7 +75,8 @@ type Solver struct {
 	beta     float64
 	opts     Options
 	next     uint64
-	rowBytes int // per-iteration cache footprint estimate for chunk sizing
+	rowBytes int     // per-iteration cache footprint estimate for chunk sizing
+	picks    []int32 // direction buffer of the sequential iteration
 }
 
 // prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
@@ -228,6 +229,9 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 		return nil, errors.New("lsq: negative claiming chunk")
 	}
 	s := &Solver{a: p.a, csc: p.csc, colNorm2: p.colNorm2, beta: beta, opts: opts}
+	if opts.Workers <= 1 {
+		s.picks = make([]int32, coord.InlineChunk)
+	}
 	valBytes := 8
 	if opts.Float32 {
 		a32, csc32, norms, err := p.float32View()
@@ -336,20 +340,18 @@ func (s *Solver) Iterations(x, b []float64, m int) {
 	if s.tab != nil {
 		c.Sampler = coord.Weighted(s.tab)
 	}
-	var body coord.Body
-	switch {
-	case c.Workers <= 1 && s.csc32 != nil:
-		body = seqRule[float32]{s.csc32.View(), s.colNorm2, s.beta, x, s.residual(x, b)}.step
-	case c.Workers <= 1:
-		body = seqRule[float64]{s.csc.View(), s.colNorm2, s.beta, x, s.residual(x, b)}.step
-	case s.csc32 != nil:
-		body = asyncRule[float32]{s.a32.View(), s.csc32.View(), s.colNorm2, s.beta, x, b}.step
-	default:
-		body = asyncRule[float64]{s.a.View(), s.csc.View(), s.colNorm2, s.beta, x, b}.step
-	}
 	start := s.next
 	s.next += uint64(m)
-	coord.Run(&c, start, s.next, body)
+	switch {
+	case c.Workers > 1 && s.csc32 != nil:
+		coord.Run(&c, start, s.next, asyncRule[float32]{s.a32.View(), s.csc32.View(), s.colNorm2, s.beta, x, b}.step)
+	case c.Workers > 1:
+		coord.Run(&c, start, s.next, asyncRule[float64]{s.a.View(), s.csc.View(), s.colNorm2, s.beta, x, b}.step)
+	case s.csc32 != nil:
+		coord.Inline(&c, start, s.next, s.picks, seqRule[float32]{s.csc32.View(), s.colNorm2, s.beta, x, s.residual(x, b)}.step)
+	default:
+		coord.Inline(&c, start, s.next, s.picks, seqRule[float64]{s.csc.View(), s.colNorm2, s.beta, x, s.residual(x, b)}.step)
+	}
 }
 
 // residual returns a fresh r = b − A·x through the active-precision view.

@@ -79,7 +79,7 @@ func rejectF32(name string, opts Opts) error {
 // AsyRGS / RGS family
 
 // corePrepared holds the reusable per-matrix state of the core family
-// (validated diagonal, reciprocal, alias table / sampling CDF) plus the
+// (validated diagonal, reciprocal, sampling alias table) plus the
 // variant flags. Each Solve runs a recycled core.Solver over the shared
 // core.Prep — the pool keeps warm solves allocation-free while the
 // direction stream and delay statistics stay per-solve and preparation
@@ -134,7 +134,7 @@ func finishCorePrepared(name string, baseOpts core.Options, sequential bool, a *
 	}
 	if baseOpts.DiagonalWeighted {
 		// Surface the positive-diagonal requirement at prepare time;
-		// the CDF itself is memoized inside the Prep.
+		// the alias table itself is memoized inside the Prep.
 		if _, err := core.NewFromPrep(prep, baseOpts); err != nil {
 			return nil, err
 		}
@@ -479,7 +479,7 @@ func chunkedStationary(ctx context.Context, name string, a *sparse.CSR, b, x []f
 // ---------------------------------------------------------------------------
 // Randomized Kaczmarz
 
-// kaczmarzPrepared holds the Kaczmarz row norms and sampling CDF; one
+// kaczmarzPrepared holds the Kaczmarz row norms and sampling table; one
 // sweep is n row projections.
 type kaczmarzPrepared struct {
 	preparedBase

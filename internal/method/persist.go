@@ -76,8 +76,8 @@ func checkHeader(d *store.Dec, family byte) error {
 }
 
 // ---------------------------------------------------------------------------
-// AsyRGS / RGS family codec: diagonal + reciprocal. The alias table,
-// CDF and float32 view rebuild lazily (or eagerly per opts) from these.
+// AsyRGS / RGS family codec: diagonal + reciprocal. The alias table and
+// float32 view rebuild lazily (or eagerly per opts) from these.
 
 func coreEncode(ps PreparedSystem) ([]byte, error) {
 	p, ok := ps.(*corePrepared)
@@ -115,8 +115,8 @@ func coreDecode(name string, baseOpts core.Options, sequential bool) decodeFunc 
 }
 
 // ---------------------------------------------------------------------------
-// Kaczmarz codec: squared row norms; CDF and alias table rebuild in
-// O(n) at decode.
+// Kaczmarz codec: squared row norms; the alias table rebuilds in O(n)
+// at decode.
 
 func kaczmarzEncode(ps PreparedSystem) ([]byte, error) {
 	p, ok := ps.(*kaczmarzPrepared)

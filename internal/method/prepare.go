@@ -1,6 +1,6 @@
 // The two-phase Prepare/Solve pipeline. Prepare captures every piece of
 // per-matrix solver state — Gram/CSC views, row and column norms,
-// diagonal extraction and scaling, sampling CDFs — once, so that the
+// diagonal extraction and scaling, sampling tables — once, so that the
 // returned PreparedSystem can run any number of solves (and batched
 // multi-RHS solves) paying only iteration cost. This is the serving shape
 // of the paper's amortization argument: setup is O(nnz) or worse, a warm
