@@ -104,7 +104,7 @@ func Inline(c *Config, start, end uint64, picks []int32, body Body) {
 		base += uint64(len(m))
 	}
 	if c.Delay != nil {
-		c.Delay.hist[0] += end - start
+		c.Delay.hist[0].Add(end - start)
 	}
 }
 
@@ -220,31 +220,32 @@ const delayBuckets = 64
 // and a power-of-two histogram (bucket 0 counts delay 0, bucket k ≥ 1
 // counts delays in [2^(k-1), 2^k)). Workers update it atomically.
 type Delay struct {
-	max  uint64
-	hist [delayBuckets]uint64
+	max  atomic.Uint64
+	hist [delayBuckets]atomic.Uint64
 }
 
 // observe raises the recorded max delay with a CAS loop and counts the
 // observation into the histogram.
 func (d *Delay) observe(v uint64) {
-	atomic.AddUint64(&d.hist[bits.Len64(v)], 1)
+	d.hist[bits.Len64(v)].Add(1)
 	for {
-		cur := atomic.LoadUint64(&d.max)
-		if v <= cur || atomic.CompareAndSwapUint64(&d.max, cur, v) {
+		cur := d.max.Load()
+		if v <= cur || d.max.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
 // Max returns the largest delay observed.
-func (d *Delay) Max() int { return int(d.max) }
+func (d *Delay) Max() int { return int(d.max.Load()) }
 
 // Histogram returns the delay histogram, trimmed after its last non-zero
 // bucket.
 func (d *Delay) Histogram() []uint64 {
 	out := make([]uint64, 0, delayBuckets)
 	last := 0
-	for i, c := range d.hist {
+	for i := range d.hist {
+		c := d.hist[i].Load()
 		if c != 0 {
 			last = i
 		}
