@@ -57,6 +57,21 @@ var goldenTrajectories = map[string]uint64{
 	"asyrgs-batch3/f32":      0xf3c23cbce5e48f6c,
 }
 
+// goldenResiduals pins the bits of Result.Residual next to the iterate
+// digest for the families whose convergence check evaluates the residual
+// through solver-held state, so a change to that evaluation's summation
+// order shows even when the iterate is unchanged.
+var goldenResiduals = map[string]uint64{
+	"kaczmarz/f64":       0x3fc70e26d79eca75,
+	"kaczmarz/f32":       0x3fc70e26d52d97fc,
+	"lsqcd/f64":          0x3f763287ca150667,
+	"lsqcd/f32":          0x3f763287c637ada0,
+	"lsqcd-weighted/f64": 0x3f82e57f04c08e10,
+	"lsqcd-weighted/f32": 0x3f82e57f046114e9,
+	"lsqcd-async/f64":    0x3f763287ca150667,
+	"lsqcd-async/f32":    0x3f763287c637ada0,
+}
+
 // TestGoldenTrajectories runs every deterministic configuration (one
 // worker, so no interleaving) at both storage precisions and compares
 // the digest of the final iterate against the pinned constant.
@@ -103,6 +118,7 @@ func TestGoldenTrajectories(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got uint64
+				var res method.Result
 				if tc.batch > 0 {
 					bs := make([][]float64, tc.batch)
 					xs := make([][]float64, tc.batch)
@@ -117,13 +133,18 @@ func TestGoldenTrajectories(t *testing.T) {
 				} else {
 					b := workload.RandomRHS(a.Rows, 79)
 					x := make([]float64, a.Cols)
-					if _, err := ps.Solve(ctx, b, x, opts); err != nil && !errors.Is(err, method.ErrNotConverged) {
+					if res, err = ps.Solve(ctx, b, x, opts); err != nil && !errors.Is(err, method.ErrNotConverged) {
 						t.Fatal(err)
 					}
 					got = goldenHash(x)
 				}
 				if want := goldenTrajectories[key]; got != want {
 					t.Fatalf("trajectory digest %#x, pinned %#x", got, want)
+				}
+				if want, ok := goldenResiduals[key]; ok {
+					if bits := math.Float64bits(res.Residual); bits != want {
+						t.Fatalf("residual bits %#x (%v), pinned %#x", bits, res.Residual, want)
+					}
 				}
 			})
 		}

@@ -7,6 +7,7 @@ package method_test
 import (
 	"context"
 	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -106,6 +107,62 @@ func TestPersistRoundTripBitIdentical(t *testing.T) {
 						t.Fatalf("x[%d] diverged: fresh %v (%#x), restored %v (%#x)",
 							i, x1[i], math.Float64bits(x1[i]), x2[i], math.Float64bits(x2[i]))
 					}
+				}
+			})
+		}
+	}
+}
+
+// persistPayloadDigests pins the FNV-64a digest of every persisting
+// method's EncodePrepared payload at both precisions. A stored blob
+// outlives the build that wrote it, so unlike the round-trip test above,
+// which compares two paths inside one build, these constants catch any
+// change to the bytes a payload carries. Change them only together with
+// persistVersion.
+var persistPayloadDigests = map[string]uint64{
+	"asyrgs/f64":             0xb972e53b87acb6ad,
+	"asyrgs/f32":             0xb972e53b87acb6ad,
+	"asyrgs-nonatomic/f64":   0xb972e53b87acb6ad,
+	"asyrgs-nonatomic/f32":   0xb972e53b87acb6ad,
+	"asyrgs-partitioned/f64": 0xb972e53b87acb6ad,
+	"asyrgs-partitioned/f32": 0xb972e53b87acb6ad,
+	"asyrgs-weighted/f64":    0xb972e53b87acb6ad,
+	"asyrgs-weighted/f32":    0xb972e53b87acb6ad,
+	"rgs/f64":                0xb972e53b87acb6ad,
+	"rgs/f32":                0xb972e53b87acb6ad,
+	"kaczmarz/f64":           0xf7a0ab2694331cbe,
+	"kaczmarz/f32":           0xf7a0ab2694331cbe,
+	"lsqcd/f64":              0xe6e9fc683608babc,
+	"lsqcd/f32":              0xe6e9fc683608babc,
+	"lsqcd-async/f64":        0xe6e9fc683608babc,
+	"lsqcd-async/f32":        0xe6e9fc683608babc,
+	"lsqcd-weighted/f64":     0xe6e9fc683608babc,
+	"lsqcd-weighted/f32":     0xe6e9fc683608babc,
+}
+
+func TestPersistPayloadDigests(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range persistCases() {
+		for _, prec := range []string{"f64", "f32"} {
+			key := tc.methodName + "/" + prec
+			t.Run(key, func(t *testing.T) {
+				m, err := method.Get(tc.methodName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pp, _ := method.AsPersistent(m)
+				ps, err := method.Prepare(ctx, m, tc.a, method.Opts{Workers: 1, Seed: 42, Precision: prec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, err := pp.EncodePrepared(ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				h.Write(payload)
+				if got, want := h.Sum64(), persistPayloadDigests[key]; got != want {
+					t.Fatalf("payload digest %#x (%d bytes), pinned %#x", got, len(payload), want)
 				}
 			})
 		}
