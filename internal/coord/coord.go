@@ -30,7 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/asynclinalg/asyrgs/internal/claim"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 )
 
@@ -56,7 +55,7 @@ type Config struct {
 	SyncPeriod int
 	// Chunk is the number of indices a worker claims at a time; zero
 	// auto-sizes from the segment length, Workers and RowBytes (see
-	// claim.SizeFor). Delay measurement forces 1.
+	// SizeFor). Delay measurement forces 1.
 	Chunk int
 	// RowBytes estimates the bytes one iteration touches, for the
 	// cache-aware chunk cap.
@@ -120,7 +119,7 @@ func Inline(c *Config, start, end uint64, picks []int32, body Body) {
 func segment(c *Config, lo, hi uint64, body Body) {
 	t := &team{c: *c, body: body, chunk: 1, shared: c.Sampler.kind != samplerPartitioned}
 	if c.Delay == nil {
-		t.chunk = uint64(claim.SizeFor(c.Chunk, hi-lo, c.Workers, c.RowBytes))
+		t.chunk = uint64(SizeFor(c.Chunk, hi-lo, c.Workers, c.RowBytes))
 	}
 	if t.shared {
 		t.claimed.Store(lo)
