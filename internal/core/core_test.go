@@ -6,7 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/dense"
+	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
+	"github.com/asynclinalg/asyrgs/internal/lsq"
 	"github.com/asynclinalg/asyrgs/internal/race"
 	"github.com/asynclinalg/asyrgs/internal/rng"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
@@ -17,6 +20,40 @@ import (
 func testSPD(t *testing.T, n int, seed uint64) *sparse.CSR {
 	t.Helper()
 	return workload.RandomSPD(n, 6, 1.5, seed)
+}
+
+// TestNewFromPrepRefusesOtherFamily checks that the coordinate families'
+// shared prepared-state type does not let one family solve with state
+// another family built: the Prep's family tag must match.
+func TestNewFromPrepRefusesOtherFamily(t *testing.T) {
+	a := testSPD(t, 30, 4)
+	cp, err := PrepareMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp, err := kaczmarz.PrepareMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := lsq.PrepareMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*coord.Prep{kp, lp} {
+		if _, err := NewFromPrep(p, Options{}); err == nil {
+			t.Fatalf("core accepted %s prepared state", p.Family.Name)
+		}
+	}
+	for _, p := range []*coord.Prep{cp, lp} {
+		if _, err := kaczmarz.NewFromPrep(p, kaczmarz.Options{}); err == nil {
+			t.Fatalf("kaczmarz accepted %s prepared state", p.Family.Name)
+		}
+	}
+	for _, p := range []*coord.Prep{cp, kp} {
+		if _, err := lsq.NewFromPrep(p, lsq.Options{}); err == nil {
+			t.Fatalf("lsq accepted %s prepared state", p.Family.Name)
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -32,10 +32,11 @@ func TestFloat32ReducesBytesPerIterationAt100k(t *testing.T) {
 	}
 
 	// Value-array traffic halves exactly: 4·nnz vs 8·nnz.
-	a32, err := prep.Float32View()
+	v, err := prep.Float32()
 	if err != nil {
 		t.Fatal(err)
 	}
+	a32 := v.A
 	if got, want := a32.ValueBytes(), 4*a.NNZ(); got != want {
 		t.Fatalf("f32 value array holds %d bytes, want %d", got, want)
 	}

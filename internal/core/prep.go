@@ -2,52 +2,24 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 
-	"github.com/asynclinalg/asyrgs/internal/alias"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
-// prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
-// use the delta to prove that cached prepared state never recomputes the
-// diagonal extraction or the sampling table.
-var prepCount atomic.Uint64
-
-// PrepCount returns the number of per-matrix preparations performed so
-// far in this process.
-func PrepCount() uint64 { return prepCount.Load() }
-
-// Prep is the reusable per-matrix state of the core solver family: the
-// validated diagonal, its reciprocal (hoisted out of the inner loop), and
-// the lazily built O(1) Walker/Vose alias table of the diagonal-weighted
-// distribution. A Prep is immutable after construction and safe for
-// concurrent use; any number of Solvers can be forked from it with
-// NewFromPrep without re-running setup.
-type Prep struct {
-	a    *sparse.CSR
-	diag []float64
-	invD []float64
-
-	aliasOnce sync.Once
-	diagAlias *alias.Table
-	aliasErr  error
-
-	f32Once sync.Once
-	a32     *sparse.CSR32
-	invD32  []float64
-	f32Err  error
-}
+// Family is the core solver family's prepared-state descriptor: the
+// sampling weights W are the diagonal A_rr (the Leventhal–Lewis
+// distribution A_rr/tr(A)) and the divisor D is its reciprocal, hoisted
+// out of the inner loop.
+var Family = &coord.Family{Name: "core", Tag: 'c', SeparateD: true, Check: checkRestored, Round: roundedInvDiag}
 
 // PrepareMatrix validates the matrix (square, non-zero diagonal) and
 // captures the per-matrix solver state: one Diag extraction and one
 // reciprocal pass, paid once per matrix instead of once per solve.
-func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
+func PrepareMatrix(a *sparse.CSR) (*coord.Prep, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
-	prepCount.Add(1)
 	diag := a.Diag()
 	invD := make([]float64, len(diag))
 	for i, d := range diag {
@@ -56,111 +28,50 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 		}
 		invD[i] = 1 / d
 	}
-	return &Prep{a: a, diag: diag, invD: invD}, nil
+	return coord.NewPrep(Family, a, nil, diag, invD), nil
 }
 
-// Matrix returns the prepared matrix (shared, do not mutate).
-func (p *Prep) Matrix() *sparse.CSR { return p.a }
-
-// State exposes the serializable per-matrix state — the validated
-// diagonal and its reciprocal — for the durable prep-store codec. The
-// lazily memoized structures (alias table, float32 view) are
-// deliberately absent: each is an O(n) rebuild from this state, cheaper
-// to reconstruct than to ship and re-verify. Shared slices; do not
-// mutate.
-func (p *Prep) State() (diag, invD []float64) { return p.diag, p.invD }
-
-// PrepFromState rebuilds a Prep over a from state captured by State on
-// an identical matrix, skipping the O(nnz) diagonal extraction — the
-// point of restoring from the durable store. It re-checks the shape and
-// the non-zero-diagonal invariant (O(n)), so state that passed blob
-// integrity checks but disagrees structurally with the matrix is
-// rejected instead of poisoning solves. It does not count as a
-// preparation in PrepCount.
-func PrepFromState(a *sparse.CSR, diag, invD []float64) (*Prep, error) {
+// checkRestored re-checks restored state in O(n): the shape and the
+// non-zero-diagonal invariant, so state that passed blob integrity checks
+// but disagrees structurally with the matrix is rejected instead of
+// poisoning solves.
+func checkRestored(p *coord.Prep) error {
+	a := p.A
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
+		return fmt.Errorf("%w: %dx%d", ErrNotSquare, a.Rows, a.Cols)
 	}
-	if len(diag) != a.Rows || len(invD) != a.Rows {
-		return nil, fmt.Errorf("core: restored state sized %d/%d for a %d-row matrix", len(diag), len(invD), a.Rows)
+	if len(p.W) != a.Rows || len(p.D) != a.Rows {
+		return fmt.Errorf("core: restored state sized %d/%d for a %d-row matrix", len(p.W), len(p.D), a.Rows)
 	}
-	for i, d := range diag {
-		if d == 0 || invD[i] == 0 {
-			return nil, fmt.Errorf("%w: row %d in restored state", ErrZeroDiagonal, i)
-		}
-	}
-	return &Prep{a: a, diag: diag, invD: invD}, nil
-}
-
-// weightedAlias returns the O(1) alias table over A_rr/tr(A), building
-// and validating it on first use. Construction is O(n), paid once per
-// prepared matrix — which is what lets a serving deployment's prep cache
-// amortize it across every warm diagonal-weighted solve.
-func (p *Prep) weightedAlias() (*alias.Table, error) {
-	p.aliasOnce.Do(func() {
-		if err := validateWeights(p.diag); err != nil {
-			p.aliasErr = err
-			return
-		}
-		p.diagAlias, p.aliasErr = alias.New(p.diag)
-	})
-	return p.diagAlias, p.aliasErr
-}
-
-// validateWeights enforces the diagonal-weighted sampling contract:
-// entries must be finite and positive (a zero or negative diagonal entry
-// cannot define the Leventhal–Lewis distribution A_rr/tr(A)).
-func validateWeights(diag []float64) error {
-	if len(diag) == 0 {
-		return fmt.Errorf("core: diagonal-weighted sampling needs a non-empty diagonal")
-	}
-	for i, d := range diag {
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			return fmt.Errorf("core: diagonal-weighted sampling needs a finite diagonal, row %d has %g", i, d)
-		}
-		if d <= 0 {
-			return fmt.Errorf("core: diagonal-weighted sampling needs a positive diagonal, row %d has %g", i, d)
+	for i, d := range p.W {
+		if d == 0 || p.D[i] == 0 {
+			return fmt.Errorf("%w: row %d in restored state", ErrZeroDiagonal, i)
 		}
 	}
 	return nil
 }
 
-// float32View returns the float32-value storage view of the matrix plus
-// the reciprocal of the rounded diagonal, building both on first use. The
-// hot loops divide by fl32(A_rr) — not A_rr — so the fixed point is the
-// exact solution of the rounded system. Rounding that underflows a
-// diagonal entry to zero is rejected.
-func (p *Prep) float32View() (*sparse.CSR32, []float64, error) {
-	p.f32Once.Do(func() {
-		a32 := sparse.NewCSR32(p.a)
-		invD32 := make([]float64, len(p.diag))
-		for i, d := range p.diag {
-			d32 := float64(float32(d))
-			if d32 == 0 {
-				p.f32Err = fmt.Errorf("%w: row %d underflows float32", ErrZeroDiagonal, i)
-				return
-			}
-			invD32[i] = 1 / d32
+// roundedInvDiag is the float32 divisor: the hot loops divide by
+// fl32(A_rr), not A_rr, so the fixed point is the exact solution of the
+// rounded system. Rounding that underflows a diagonal entry to zero is
+// rejected.
+func roundedInvDiag(p *coord.Prep, _ *coord.View32) ([]float64, error) {
+	invD32 := make([]float64, len(p.W))
+	for i, d := range p.W {
+		d32 := float64(float32(d))
+		if d32 == 0 {
+			return nil, fmt.Errorf("%w: row %d underflows float32", ErrZeroDiagonal, i)
 		}
-		p.a32, p.invD32 = a32, invD32
-	})
-	return p.a32, p.invD32, p.f32Err
-}
-
-// Float32View returns the memoized float32-storage view of the prepared
-// matrix (see Options.Float32), building and validating it on first use.
-// Callers that evaluate residuals outside a Solver — the registry's
-// batched SpMM residual pass — read the same view the iteration uses.
-func (p *Prep) Float32View() (*sparse.CSR32, error) {
-	a32, _, err := p.float32View()
-	return a32, err
+		invD32[i] = 1 / d32
+	}
+	return invD32, nil
 }
 
 // NewFromPrep forks a Solver from prepared per-matrix state. It performs
 // only option validation — no matrix traversal — so it is cheap enough to
 // call once per solve, giving each solve a fresh direction stream and
 // delay statistics over the shared immutable Prep.
-func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
+func NewFromPrep(p *coord.Prep, opts Options) (*Solver, error) {
 	s := &Solver{}
 	if err := s.Reinit(p, opts); err != nil {
 		return nil, err
@@ -174,7 +85,10 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 // the prepared request path allocates nothing.
 //
 //asyrgs:noalloc
-func (s *Solver) Reinit(p *Prep, opts Options) error {
+func (s *Solver) Reinit(p *coord.Prep, opts Options) error {
+	if p.Family != Family {
+		return fmt.Errorf("core: cannot solve with %s prepared state", p.Family.Name)
+	}
 	beta := opts.Beta
 	if beta == 0 {
 		beta = 1
@@ -188,29 +102,29 @@ func (s *Solver) Reinit(p *Prep, opts Options) error {
 	if opts.Chunk < 0 {
 		return fmt.Errorf("core: negative claiming chunk %d", opts.Chunk)
 	}
-	s.a, s.diag, s.invD = p.a, p.diag, p.invD
+	s.a, s.diag, s.invD = p.A, p.W, p.D
 	s.a32 = nil
 	valBytes := 8
 	if opts.Float32 {
-		a32, invD32, err := p.float32View()
+		v, err := p.Float32()
 		if err != nil {
 			return err
 		}
-		s.a32, s.invD = a32, invD32
+		s.a32, s.invD = v.A, v.D
 		valBytes = 4
 	}
 	// Per-iteration cache footprint for the chunk auto-sizer: mean row
 	// values + int column indices, plus the x, b and invD entries touched.
 	meanNNZ := 0
-	if p.a.Rows > 0 {
-		meanNNZ = p.a.NNZ() / p.a.Rows
+	if p.A.Rows > 0 {
+		meanNNZ = p.A.NNZ() / p.A.Rows
 	}
 	s.rowBytes = meanNNZ*(valBytes+8) + 24
 	s.beta, s.opts = beta, opts
 	s.diagAlias = nil
 	s.Reset()
 	if opts.DiagonalWeighted {
-		tab, err := p.weightedAlias()
+		tab, err := p.Alias()
 		if err != nil {
 			return err
 		}

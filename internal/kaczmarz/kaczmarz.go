@@ -5,15 +5,16 @@
 // a consistent system, while AsyRGS descends along coordinates of an SPD
 // system; both get linear rates from randomization. The projection is an
 // update rule of the shared coordinate engine (internal/coord), which
-// owns the claiming loop and the row sampler.
+// owns the claiming loop and the row sampler. The per-matrix prepared
+// state is coord.Prep, shared with the other coordinate families:
+// PrepareMatrix fills it with the squared row norms, which are both the
+// sampling weights and the projection divisor.
 package kaczmarz
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/coord"
@@ -57,40 +58,24 @@ type Solver struct {
 	opts     Options
 	beta     float64
 	next     uint64
-	rowBytes int     // per-iteration cache footprint estimate for chunk sizing
-	picks    []int32 // direction buffer of the single-worker iteration
+	rowBytes int       // per-iteration cache footprint estimate for chunk sizing
+	picks    []int32   // direction buffer of the single-worker iteration
+	res      []float64 // residual scratch, so a convergence check allocates nothing
 }
 
-// prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
-// use the delta to prove cached prepared state never recomputes row norms.
-var prepCount atomic.Uint64
+// Family is the Kaczmarz prepared-state descriptor: the squared row
+// norms ‖A_i‖² are both the Strohmer–Vershynin sampling weights W and
+// the projection divisor D.
+var Family = &coord.Family{Name: "kaczmarz", Tag: 'k', Check: checkRestored, Round: roundedRowNorms}
 
-// PrepCount returns the number of per-matrix preparations (row-norm and
-// sampling-table passes) performed so far in this process.
-func PrepCount() uint64 { return prepCount.Load() }
-
-// Prep is the reusable per-matrix state of the Kaczmarz solvers: the row
-// norms ‖A_i‖² and the O(1) alias table of the Strohmer–Vershynin
-// distribution the hot loop draws through. Immutable after construction
-// and safe for concurrent use; fork Solvers from it with NewFromPrep.
-type Prep struct {
-	a        *sparse.CSR
-	rowNorm2 []float64
-	tab      *alias.Table
-
-	f32Once    sync.Once
-	a32        *sparse.CSR32
-	rowNorm232 []float64
-	f32Err     error
-}
-
-// PrepareMatrix computes the row norms and the norm-weighted sampling
-// distribution for A, paid once per matrix instead of once per solve.
-func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
+// PrepareMatrix computes the row norms and builds the norm-weighted alias
+// table for A, paid once per matrix instead of once per solve. A
+// zero-norm row has zero weight and is never drawn; the table builder
+// rejects an all-zero matrix, and non-finite norms from overflowing rows.
+func PrepareMatrix(a *sparse.CSR) (*coord.Prep, error) {
 	if a.Rows == 0 {
 		return nil, errors.New("kaczmarz: empty matrix")
 	}
-	prepCount.Add(1)
 	norms := make([]float64, a.Rows)
 	for i := 0; i < a.Rows; i++ {
 		var nz float64
@@ -99,84 +84,56 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 		}
 		norms[i] = nz
 	}
-	return newPrep(a, norms)
+	p := coord.NewPrep(Family, a, nil, norms, norms)
+	if _, err := p.Alias(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// newPrep checks the row norms and builds the alias table over them. A
-// zero-norm row has zero weight and is never drawn; an all-zero matrix
-// and negative norms are rejected. The builder re-validates the weights,
-// so non-finite norms from overflowing rows surface with a clear error
-// instead of a silently broken table.
-func newPrep(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
-	var total float64
-	for i, nz := range rowNorm2 {
-		if nz < 0 {
-			return nil, fmt.Errorf("kaczmarz: row norm %d is negative", i)
+// checkRestored checks restored row norms against the matrix shape; the
+// alias table, rebuilt from them on first use, re-validates the values.
+func checkRestored(p *coord.Prep) error {
+	if p.A.Rows == 0 {
+		return errors.New("kaczmarz: empty matrix")
+	}
+	if len(p.W) != p.A.Rows {
+		return fmt.Errorf("kaczmarz: restored state has %d row norms for a %d-row matrix", len(p.W), p.A.Rows)
+	}
+	return nil
+}
+
+// roundedRowNorms is the float32 divisor: the row norms of the rounded
+// values. A nonzero row whose norm underflows float32 storage is
+// rejected: it would be sampled (weights stay on the float64 norms) but
+// have no finite projection.
+func roundedRowNorms(p *coord.Prep, v *coord.View32) ([]float64, error) {
+	a32 := v.A
+	n2 := make([]float64, a32.Rows)
+	for i := 0; i < a32.Rows; i++ {
+		var nz float64
+		for k := a32.RowPtr[i]; k < a32.RowPtr[i+1]; k++ {
+			f := float64(a32.Vals[k])
+			nz += f * f
 		}
-		total += nz
-	}
-	if total == 0 {
-		return nil, errors.New("kaczmarz: zero matrix")
-	}
-	tab, err := alias.New(rowNorm2)
-	if err != nil {
-		return nil, fmt.Errorf("kaczmarz: building row-sampling table: %w", err)
-	}
-	return &Prep{a: a, rowNorm2: rowNorm2, tab: tab}, nil
-}
-
-// State exposes the serializable per-matrix state — the squared row
-// norms — for the durable prep-store codec. The alias table is absent:
-// it is an O(n) rebuild from the norms, cheaper to reconstruct than to
-// ship. Shared slice; do not mutate.
-func (p *Prep) State() []float64 { return p.rowNorm2 }
-
-// PrepFromState rebuilds a Prep over a from row norms captured by State
-// on an identical matrix, skipping the O(nnz) norm pass. The alias table
-// is reconstructed (O(n)), which re-validates the norms: non-finite or
-// negative entries and an all-zero matrix are rejected exactly as in
-// PrepareMatrix. It does not count in PrepCount.
-func PrepFromState(a *sparse.CSR, rowNorm2 []float64) (*Prep, error) {
-	if a.Rows == 0 {
-		return nil, errors.New("kaczmarz: empty matrix")
-	}
-	if len(rowNorm2) != a.Rows {
-		return nil, fmt.Errorf("kaczmarz: restored state has %d row norms for a %d-row matrix", len(rowNorm2), a.Rows)
-	}
-	return newPrep(a, rowNorm2)
-}
-
-// Matrix returns the prepared matrix (shared, do not mutate).
-func (p *Prep) Matrix() *sparse.CSR { return p.a }
-
-// float32View returns the float32-value view of the matrix and the row
-// norms of the rounded values, building both on first use. A nonzero row
-// whose norm underflows float32 storage is rejected: it would be sampled
-// (weights stay on the float64 norms) but have no finite projection.
-func (p *Prep) float32View() (*sparse.CSR32, []float64, error) {
-	p.f32Once.Do(func() {
-		a32 := sparse.NewCSR32(p.a)
-		n2 := make([]float64, a32.Rows)
-		for i := 0; i < a32.Rows; i++ {
-			var nz float64
-			for k := a32.RowPtr[i]; k < a32.RowPtr[i+1]; k++ {
-				v := float64(a32.Vals[k])
-				nz += v * v
-			}
-			if nz == 0 && p.rowNorm2[i] > 0 {
-				p.f32Err = fmt.Errorf("kaczmarz: row %d norm underflows float32", i)
-				return
-			}
-			n2[i] = nz
+		if nz == 0 && p.W[i] > 0 {
+			return nil, fmt.Errorf("kaczmarz: row %d norm underflows float32", i)
 		}
-		p.a32, p.rowNorm232 = a32, n2
-	})
-	return p.a32, p.rowNorm232, p.f32Err
+		n2[i] = nz
+	}
+	return n2, nil
 }
 
 // NewFromPrep forks a Solver from prepared per-matrix state, validating
 // only the options — no matrix traversal.
-func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
+func NewFromPrep(p *coord.Prep, opts Options) (*Solver, error) {
+	if p.Family != Family {
+		return nil, fmt.Errorf("kaczmarz: cannot solve with %s prepared state", p.Family.Name)
+	}
+	tab, err := p.Alias()
+	if err != nil {
+		return nil, err
+	}
 	beta := opts.Beta
 	if beta == 0 {
 		beta = 1
@@ -187,22 +144,22 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if opts.Chunk < 0 {
 		return nil, errors.New("kaczmarz: negative claiming chunk")
 	}
-	s := &Solver{a: p.a, rowNorm2: p.rowNorm2, tab: p.tab, opts: opts, beta: beta}
+	s := &Solver{a: p.A, rowNorm2: p.D, tab: tab, opts: opts, beta: beta}
 	if opts.Workers <= 1 {
 		s.picks = make([]int32, coord.InlineChunk)
 	}
 	valBytes := 8
 	if opts.Float32 {
-		a32, n232, err := p.float32View()
+		v, err := p.Float32()
 		if err != nil {
 			return nil, err
 		}
-		s.a32, s.rowNorm2 = a32, n232
+		s.a32, s.rowNorm2 = v.A, v.D
 		valBytes = 4
 	}
 	meanNNZ := 0
-	if p.a.Rows > 0 {
-		meanNNZ = p.a.NNZ() / p.a.Rows
+	if p.A.Rows > 0 {
+		meanNNZ = p.A.NNZ() / p.A.Rows
 	}
 	// One projection reads and scatters a full row: values + indices for
 	// both passes, plus the touched x entries and the b/norm scalars.
@@ -303,7 +260,10 @@ func (s *Solver) Solve(x, b []float64, tol float64, maxIter, checkEvery int) (in
 
 // Residual returns ‖b−Ax‖₂/‖b‖₂.
 func (s *Solver) Residual(x, b []float64) float64 {
-	r := make([]float64, s.a.Rows)
+	if s.res == nil {
+		s.res = make([]float64, s.a.Rows)
+	}
+	r := s.res
 	if s.a32 != nil {
 		s.a32.MulVec(r, x)
 	} else {

@@ -168,7 +168,7 @@ func TestAliasVsCDFRowMarginals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norms := p.State()
+	norms := p.W
 	cdf := make([]float64, len(norms))
 	var total float64
 	for i, nz := range norms {
@@ -178,7 +178,11 @@ func TestAliasVsCDFRowMarginals(t *testing.T) {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	smp := coord.Weighted(p.tab)
+	tab, err := p.Alias()
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp := coord.Weighted(tab)
 	stream := rng.NewStream(61)
 	const draws = 200_000
 	aliasCounts := make([]float64, a.Rows)

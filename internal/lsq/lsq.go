@@ -17,13 +17,15 @@
 // guarantees transfer with ρ₂ computed from X = AᵀA (Theorem 5). Both
 // iterations are update rules of the shared coordinate engine
 // (internal/coord), which owns the claiming loop and the column sampler.
+// The per-matrix prepared state is coord.Prep, shared with the other
+// coordinate families: PrepareMatrix fills it with the CSC column view
+// and the squared column norms, which are both the sampling weights and
+// the step divisor.
 package lsq
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/asynclinalg/asyrgs/internal/alias"
 	"github.com/asynclinalg/asyrgs/internal/atomicfloat"
@@ -77,79 +79,24 @@ type Solver struct {
 	next     uint64
 	rowBytes int     // per-iteration cache footprint estimate for chunk sizing
 	picks    []int32 // direction buffer of the sequential iteration
+	// Residual scratch, so a convergence check allocates nothing: r is
+	// b − A·x (also the sequential iteration's running residual), atr is
+	// Aᵀr.
+	r, atr []float64
 }
 
-// prepCount counts PrepareMatrix calls; the Prepare/Solve pipeline tests
-// use the delta to prove cached prepared state never rebuilds the CSC
-// transpose or the column norms.
-var prepCount atomic.Uint64
-
-// PrepCount returns the number of per-matrix preparations (CSC builds and
-// column-norm passes) performed so far in this process.
-func PrepCount() uint64 { return prepCount.Load() }
-
-// Prep is the reusable per-matrix state of the least-squares solvers: the
-// CSC column view of A (one transpose pass), the squared column norms
-// ‖A e_j‖², and the lazily built norm-weighted alias table. Immutable
-// after construction (the alias latch is internally synchronized) and
-// safe for concurrent use; fork Solvers from it with NewFromPrep.
-type Prep struct {
-	a        *sparse.CSR
-	csc      *sparse.CSC
-	colNorm2 []float64
-
-	aliasOnce sync.Once
-	tab       *alias.Table
-	aliasErr  error
-
-	f32Once    sync.Once
-	a32        *sparse.CSR32
-	csc32      *sparse.CSC32
-	colNorm232 []float64
-	f32Err     error
-}
-
-// float32View returns the float32-value views of both matrix layouts and
-// the column norms of the rounded values, building them on first use. A
-// column whose norm underflows float32 storage is rejected (it would
-// still be sampled but have no finite step).
-func (p *Prep) float32View() (*sparse.CSR32, *sparse.CSC32, []float64, error) {
-	p.f32Once.Do(func() {
-		a32 := sparse.NewCSR32(p.a)
-		csc32 := sparse.NewCSC32(p.csc)
-		norms := make([]float64, p.a.Cols)
-		for j := 0; j < p.a.Cols; j++ {
-			norms[j] = csc32.ColNorm2Sq(j)
-			if norms[j] == 0 {
-				p.f32Err = fmt.Errorf("lsq: column %d norm underflows float32", j)
-				return
-			}
-		}
-		p.a32, p.csc32, p.colNorm232 = a32, csc32, norms
-	})
-	return p.a32, p.csc32, p.colNorm232, p.f32Err
-}
-
-// colAlias returns the ‖A e_j‖²-weighted alias table, building it on
-// first use — once per prepared matrix, so a serving prep cache
-// amortizes construction across every warm norm-weighted solve.
-func (p *Prep) colAlias() (*alias.Table, error) {
-	p.aliasOnce.Do(func() {
-		p.tab, p.aliasErr = alias.New(p.colNorm2)
-		if p.aliasErr != nil {
-			p.aliasErr = fmt.Errorf("lsq: building column-sampling table: %w", p.aliasErr)
-		}
-	})
-	return p.tab, p.aliasErr
-}
+// Family is the least-squares prepared-state descriptor: the state
+// carries the CSC column view of A (one transpose pass), and the squared
+// column norms ‖A e_j‖² are both the norm-weighted sampling weights W
+// and the step divisor D.
+var Family = &coord.Family{Name: "lsq", Tag: 'l', Columns: true, Check: checkRestored, Round: roundedColNorms}
 
 // PrepareMatrix validates A (rows >= cols, no zero columns) and builds
 // the column view plus norms, paid once per matrix instead of per solve.
-func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
+func PrepareMatrix(a *sparse.CSR) (*coord.Prep, error) {
 	if a.Rows < a.Cols {
 		return nil, errors.New("lsq: system must have at least as many rows as columns")
 	}
-	prepCount.Add(1)
 	csc := a.ToCSC()
 	norms := make([]float64, a.Cols)
 	for j := 0; j < a.Cols; j++ {
@@ -158,62 +105,68 @@ func PrepareMatrix(a *sparse.CSR) (*Prep, error) {
 			return nil, errors.New("lsq: matrix has a zero column")
 		}
 	}
-	return &Prep{a: a, csc: csc, colNorm2: norms}, nil
+	return coord.NewPrep(Family, a, csc, norms, norms), nil
 }
 
-// Matrix returns the prepared matrix (shared, do not mutate).
-func (p *Prep) Matrix() *sparse.CSR { return p.a }
-
-// State exposes the serializable per-matrix state — the CSC column view
-// (the expensive transpose pass) and the squared column norms — for the
-// durable prep-store codec. The alias table and float32 views are
-// absent: each rebuilds lazily from this state. Shared; do not mutate.
-func (p *Prep) State() (*sparse.CSC, []float64) { return p.csc, p.colNorm2 }
-
-// PrepFromState rebuilds a Prep over a from state captured by State on
-// an identical matrix, skipping the transpose and norm passes. The CSC
-// structure is revalidated against a's shape — pointer monotonicity,
-// nnz agreement, row indices in range, positive norms — with one O(nnz)
-// comparison scan (far cheaper than the O(nnz log) transpose it
-// replaces), so structurally damaged state can never index out of
-// bounds in the hot loop. It does not count in PrepCount.
-func PrepFromState(a *sparse.CSR, csc *sparse.CSC, colNorm2 []float64) (*Prep, error) {
+// checkRestored revalidates a restored column view against the matrix
+// shape — pointer monotonicity, nnz agreement, row indices in range,
+// positive norms — with one O(nnz) comparison scan (far cheaper than the
+// O(nnz log) transpose it replaces), so structurally damaged state can
+// never index out of bounds in the hot loop.
+func checkRestored(p *coord.Prep) error {
+	a, csc := p.A, p.CSC
 	if a.Rows < a.Cols {
-		return nil, errors.New("lsq: system must have at least as many rows as columns")
+		return errors.New("lsq: system must have at least as many rows as columns")
 	}
 	if csc == nil || csc.Rows != a.Rows || csc.Cols != a.Cols {
-		return nil, errors.New("lsq: restored column view disagrees with the matrix shape")
+		return errors.New("lsq: restored column view disagrees with the matrix shape")
 	}
 	nnz := a.NNZ()
 	if len(csc.ColPtr) != a.Cols+1 || len(csc.RowIdx) != nnz || len(csc.Vals) != nnz ||
 		csc.ColPtr[0] != 0 || csc.ColPtr[a.Cols] != nnz {
-		return nil, errors.New("lsq: restored column view has inconsistent structure")
+		return errors.New("lsq: restored column view has inconsistent structure")
 	}
 	for j := 0; j < a.Cols; j++ {
 		if csc.ColPtr[j] > csc.ColPtr[j+1] {
-			return nil, errors.New("lsq: restored column pointers are not monotone")
+			return errors.New("lsq: restored column pointers are not monotone")
 		}
 	}
 	for _, i := range csc.RowIdx {
 		if i < 0 || i >= a.Rows {
-			return nil, errors.New("lsq: restored row index out of range")
+			return errors.New("lsq: restored row index out of range")
 		}
 	}
-	if len(colNorm2) != a.Cols {
-		return nil, errors.New("lsq: restored norms disagree with the matrix shape")
+	if len(p.W) != a.Cols {
+		return errors.New("lsq: restored norms disagree with the matrix shape")
 	}
-	for j, n := range colNorm2 {
+	for j, n := range p.W {
 		if !(n > 0) {
-			return nil, fmt.Errorf("lsq: restored norm of column %d is not positive", j)
+			return fmt.Errorf("lsq: restored norm of column %d is not positive", j)
 		}
 	}
-	return &Prep{a: a, csc: csc, colNorm2: colNorm2}, nil
+	return nil
+}
+
+// roundedColNorms is the float32 divisor: the column norms of the
+// rounded values. A column whose norm underflows float32 storage is
+// rejected (it would still be sampled but have no finite step).
+func roundedColNorms(p *coord.Prep, v *coord.View32) ([]float64, error) {
+	norms := make([]float64, p.A.Cols)
+	for j := range norms {
+		if norms[j] = v.CSC.ColNorm2Sq(j); norms[j] == 0 {
+			return nil, fmt.Errorf("lsq: column %d norm underflows float32", j)
+		}
+	}
+	return norms, nil
 }
 
 // NewFromPrep forks a Solver from prepared per-matrix state, validating
 // only the options — no transpose or norm computation (the norm-weighted
 // alias table is memoized inside the Prep).
-func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
+func NewFromPrep(p *coord.Prep, opts Options) (*Solver, error) {
+	if p.Family != Family {
+		return nil, fmt.Errorf("lsq: cannot solve with %s prepared state", p.Family.Name)
+	}
 	beta := opts.Beta
 	if beta == 0 {
 		if opts.Workers > 1 {
@@ -228,21 +181,21 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	if opts.Chunk < 0 {
 		return nil, errors.New("lsq: negative claiming chunk")
 	}
-	s := &Solver{a: p.a, csc: p.csc, colNorm2: p.colNorm2, beta: beta, opts: opts}
+	s := &Solver{a: p.A, csc: p.CSC, colNorm2: p.D, beta: beta, opts: opts}
 	if opts.Workers <= 1 {
 		s.picks = make([]int32, coord.InlineChunk)
 	}
 	valBytes := 8
 	if opts.Float32 {
-		a32, csc32, norms, err := p.float32View()
+		v, err := p.Float32()
 		if err != nil {
 			return nil, err
 		}
-		s.a32, s.csc32, s.colNorm2 = a32, csc32, norms
+		s.a32, s.csc32, s.colNorm2 = v.A, v.CSC, v.D
 		valBytes = 4
 	}
 	if opts.NormWeighted {
-		tab, err := p.colAlias()
+		tab, err := p.Alias()
 		if err != nil {
 			return nil, err
 		}
@@ -251,11 +204,11 @@ func NewFromPrep(p *Prep, opts Options) (*Solver, error) {
 	// The async step walks one column and re-derives each touched row's
 	// product: roughly column nnz × mean row nnz entries of values+indices.
 	meanColNNZ, meanRowNNZ := 0, 0
-	if p.a.Cols > 0 {
-		meanColNNZ = p.a.NNZ() / p.a.Cols
+	if p.A.Cols > 0 {
+		meanColNNZ = p.A.NNZ() / p.A.Cols
 	}
-	if p.a.Rows > 0 {
-		meanRowNNZ = p.a.NNZ() / p.a.Rows
+	if p.A.Rows > 0 {
+		meanRowNNZ = p.A.NNZ() / p.A.Rows
 	}
 	s.rowBytes = meanColNNZ*(1+meanRowNNZ)*(valBytes+8) + 24
 	return s, nil
@@ -354,9 +307,13 @@ func (s *Solver) Iterations(x, b []float64, m int) {
 	}
 }
 
-// residual returns a fresh r = b − A·x through the active-precision view.
+// residual computes r = b − A·x through the active-precision view into
+// the solver's scratch and returns it; it is valid until the next call.
 func (s *Solver) residual(x, b []float64) []float64 {
-	r := make([]float64, s.a.Rows)
+	if s.r == nil {
+		s.r = make([]float64, s.a.Rows)
+	}
+	r := s.r
 	s.mulVec(r, x)
 	vec.Sub(r, b, r)
 	return r
@@ -377,7 +334,10 @@ func (s *Solver) mulVec(r, x []float64) {
 // minimizer of the rounded system.
 func (s *Solver) LSQResidual(x, b []float64) float64 {
 	r := s.residual(x, b)
-	atr := make([]float64, s.a.Cols)
+	if s.atr == nil {
+		s.atr = make([]float64, s.a.Cols)
+	}
+	atr := s.atr
 	if s.csc32 != nil {
 		s.csc32.MulTransVec(atr, r)
 	} else {

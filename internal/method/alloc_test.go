@@ -1,8 +1,8 @@
-// Allocation regression tests for the zero-allocation warm path: once a
-// system is prepared and the solver pool is warm, a sequential
-// fixed-work Solve for the core family must not allocate at all — the
-// direction buffer, residual scratch and the solver itself are all
-// recycled. Run in CI's plain test step; skipped under -race, where the
+// Allocation regression tests for the warm path: once a system is
+// prepared and the solver pool is warm, a sequential fixed-work Solve for
+// the core family must not allocate at all — the direction buffer,
+// residual scratch and the solver itself are all recycled — and no
+// family's convergence check allocates. Run in CI's plain test step; skipped under -race, where the
 // detector's instrumentation changes allocation accounting.
 package method_test
 
@@ -13,6 +13,7 @@ import (
 
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/race"
+	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
@@ -45,6 +46,48 @@ func TestWarmPreparedSolveZeroAllocCoreFamily(t *testing.T) {
 			solve() // warm the solver pool and its scratch
 			if avg := testing.AllocsPerRun(20, solve); avg != 0 {
 				t.Fatalf("warm prepared Solve allocated %.1f times per run, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestWarmSolveAllocsFlatInChecks covers the families whose solvers are
+// forked per solve (kaczmarz, lsqcd): a solve allocates its solver and
+// scratch once, but a convergence check must not allocate, so a warm
+// solve checked every sweep allocates as often at 16 sweeps as at 4.
+func TestWarmSolveAllocsFlatInChecks(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	spd := workload.RandomSPD(300, 6, 1.5, 17)
+	tall := workload.RandomOverdetermined(300, 120, 4, 5)
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"kaczmarz", spd}, {"lsqcd", tall}, {"lsqcd-weighted", tall}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := method.Get(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := workload.RandomRHS(tc.a.Rows, 18)
+			allocs := func(sweeps int) float64 {
+				opts := method.Opts{Tol: 0, MaxSweeps: sweeps, CheckEvery: 1, Workers: 1, Seed: 9}
+				ps, err := method.Prepare(context.Background(), m, tc.a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := make([]float64, tc.a.Cols)
+				solve := func() {
+					if _, err := ps.Solve(context.Background(), b, x, opts); err != nil && !errors.Is(err, method.ErrNotConverged) {
+						t.Fatal(err)
+					}
+				}
+				solve()
+				return testing.AllocsPerRun(20, solve)
+			}
+			if a4, a16 := allocs(4), allocs(16); a4 != a16 {
+				t.Fatalf("warm solve allocated %.1f times at 4 checks and %.1f at 16: a check allocates", a4, a16)
 			}
 		})
 	}

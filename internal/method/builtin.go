@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/core"
 	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
 	"github.com/asynclinalg/asyrgs/internal/krylov"
@@ -22,10 +23,13 @@ import (
 // prepare hook captures the family's per-matrix state once.
 func init() {
 	registerCore := func(name string, baseOpts core.Options, sequential bool) {
-		Register(&funcMethod{name: name, kind: SPD,
-			prepare: corePrepare(name, baseOpts, sequential),
-			encode:  coreEncode,
-			decode:  coreDecode(name, baseOpts, sequential)})
+		registerCoord(coordVariant{name: name, kind: SPD, family: core.Family,
+			prepare: core.PrepareMatrix, weighted: baseOpts.DiagonalWeighted,
+			system: func(c coordBase) PreparedSystem {
+				p := &corePrepared{coordBase: c, baseOpts: baseOpts, sequential: sequential}
+				p.baseOpts.Float32 = c.a32 != nil
+				return p
+			}})
 	}
 	registerCore("asyrgs", core.Options{}, false)
 	registerCore("asyrgs-nonatomic", core.Options{NonAtomic: true}, false)
@@ -37,17 +41,92 @@ func init() {
 	Register(&funcMethod{name: "jacobi", kind: SPD, prepare: stationaryPrepare("jacobi")})
 	Register(&funcMethod{name: "gs", kind: SPD, prepare: stationaryPrepare("gs")})
 	Register(&funcMethod{name: "asyncjacobi", kind: SPD, prepare: stationaryPrepare("asyncjacobi")})
-	Register(&funcMethod{name: "kaczmarz", kind: SPD, prepare: kaczmarzPrepare,
-		encode: kaczmarzEncode, decode: kaczmarzDecode})
+	registerCoord(coordVariant{name: "kaczmarz", kind: SPD, family: kaczmarz.Family,
+		prepare: kaczmarz.PrepareMatrix, weighted: true,
+		system: func(c coordBase) PreparedSystem { return &kaczmarzPrepared{c} }})
 	registerLSQ := func(name string, sequential, weighted bool) {
-		Register(&funcMethod{name: name, kind: LeastSquares,
-			prepare: lsqPrepare(name, sequential, weighted),
-			encode:  lsqEncode,
-			decode:  lsqDecode(name, sequential, weighted)})
+		registerCoord(coordVariant{name: name, kind: LeastSquares, family: lsq.Family,
+			prepare: lsq.PrepareMatrix, weighted: weighted,
+			system: func(c coordBase) PreparedSystem {
+				return &lsqPrepared{coordBase: c, sequential: sequential, weighted: weighted}
+			}})
 	}
 	registerLSQ("lsqcd", true, false)
 	registerLSQ("lsqcd-async", false, false)
 	registerLSQ("lsqcd-weighted", true, true)
+}
+
+// coordVariant is a registry entry of a coordinate family (core,
+// kaczmarz, lsq), whose per-matrix state is a coord.Prep.
+type coordVariant struct {
+	name     string
+	kind     Kind
+	family   *coord.Family
+	prepare  func(a *sparse.CSR) (*coord.Prep, error)
+	weighted bool // the variant samples through the alias table over W
+	// system wraps the finished state in the family's PreparedSystem.
+	system func(c coordBase) PreparedSystem
+}
+
+// coordBase is the prepared state every coordinate family's system
+// shares.
+type coordBase struct {
+	preparedBase
+	prep *coord.Prep
+	// a32 is non-nil when the system was prepared with Precision "f32":
+	// solvers iterate on the float32-storage view, and residuals read the
+	// same view, so convergence is judged against the system actually
+	// being solved.
+	a32 *sparse.CSR32
+}
+
+func (c *coordBase) coordPrep() *coord.Prep { return c.prep }
+
+// registerCoord registers a coordinate-family variant. Fresh preparation
+// and store restores both end in finish, so both build identical systems.
+func registerCoord(v coordVariant) {
+	Register(&funcMethod{name: v.name, kind: v.kind,
+		prepare: func(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
+			prep, err := v.prepare(a)
+			if err != nil {
+				return nil, err
+			}
+			return v.finish(prep, opts)
+		},
+		encode: func(ps PreparedSystem) ([]byte, error) { return encodePrepared(v.family, ps) },
+		decode: func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
+			prep, err := decodePrepared(v.family, a, payload)
+			if err != nil {
+				return nil, err
+			}
+			return v.finish(prep, opts)
+		},
+	})
+}
+
+// finish applies the prep-time option handling. The rounded view and the
+// alias table are built eagerly, so underflow and weight errors surface
+// at prepare time; both are memoized in the Prep, so the serving prep
+// cache amortizes them.
+func (v coordVariant) finish(prep *coord.Prep, opts Opts) (PreparedSystem, error) {
+	f32, err := resolvePrecision(opts)
+	if err != nil {
+		return nil, err
+	}
+	c := coordBase{preparedBase: base(v.name, v.kind, prep.A), prep: prep}
+	if f32 {
+		view, err := prep.Float32()
+		if err != nil {
+			return nil, err
+		}
+		c.a32 = view.A
+	}
+	if v.weighted {
+		if _, err := prep.Alias(); err != nil {
+			return nil, err
+		}
+	}
+	return v.system(c), nil
 }
 
 // resolvePrecision canonicalizes opts.Precision, reporting whether the
@@ -78,68 +157,18 @@ func rejectF32(name string, opts Opts) error {
 // ---------------------------------------------------------------------------
 // AsyRGS / RGS family
 
-// corePrepared holds the reusable per-matrix state of the core family
-// (validated diagonal, reciprocal, sampling alias table) plus the
-// variant flags. Each Solve runs a recycled core.Solver over the shared
-// core.Prep — the pool keeps warm solves allocation-free while the
-// direction stream and delay statistics stay per-solve and preparation
-// is paid exactly once.
+// corePrepared is a core-family system: the shared coord.Prep (diagonal,
+// reciprocal, memoized alias table) plus the variant flags. Each Solve
+// runs a recycled core.Solver over it — the pool keeps warm solves
+// allocation-free while the direction stream and delay statistics stay
+// per-solve and preparation is paid exactly once.
 type corePrepared struct {
-	preparedBase
-	prep       *core.Prep
+	coordBase
 	baseOpts   core.Options
 	sequential bool
-	// a32 is non-nil when the system was prepared with Precision "f32":
-	// forked solvers iterate on the float32-storage view and the batched
-	// residual pass reads the same view, so convergence is judged against
-	// the system actually being solved.
-	a32 *sparse.CSR32
 	// pool recycles solvers (with their direction and residual scratch)
 	// across solves; concurrent solves each draw their own.
 	pool sync.Pool
-}
-
-// corePrepare builds the prepare hook for an AsyRGS/RGS variant. base
-// carries the variant flags; sequential forces one worker (the
-// synchronous Randomized Gauss–Seidel iteration).
-func corePrepare(name string, baseOpts core.Options, sequential bool) prepareFunc {
-	return func(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-		prep, err := core.PrepareMatrix(a)
-		if err != nil {
-			return nil, err
-		}
-		return finishCorePrepared(name, baseOpts, sequential, a, prep, opts)
-	}
-}
-
-// finishCorePrepared applies the post-PrepareMatrix option handling —
-// precision views and weighted-sampling validation — shared by fresh
-// preparation and store restores, so both paths build identical systems.
-func finishCorePrepared(name string, baseOpts core.Options, sequential bool, a *sparse.CSR, prep *core.Prep, opts Opts) (PreparedSystem, error) {
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return nil, err
-	}
-	p := &corePrepared{
-		preparedBase: base(name, SPD, a),
-		prep:         prep, baseOpts: baseOpts, sequential: sequential,
-	}
-	if f32 {
-		// Build the rounded view eagerly so underflow surfaces at
-		// prepare time and the serving prep cache amortizes the copy.
-		if p.a32, err = prep.Float32View(); err != nil {
-			return nil, err
-		}
-		p.baseOpts.Float32 = true
-	}
-	if baseOpts.DiagonalWeighted {
-		// Surface the positive-diagonal requirement at prepare time;
-		// the alias table itself is memoized inside the Prep.
-		if _, err := core.NewFromPrep(prep, baseOpts); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
 }
 
 // fork readies a per-solve core.Solver over the shared prepared state,
@@ -326,11 +355,11 @@ func (p *cgPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, opts Op
 
 // fcgPrepared is the paper's recommended high-accuracy configuration:
 // Flexible-CG preconditioned by Opts.Inner sweeps of AsyRGS. The prepared
-// state is the preconditioner's core.Prep — the expensive part of FCG
+// state is the preconditioner's coord.Prep — the expensive part of FCG
 // setup — shared across solves.
 type fcgPrepared struct {
 	preparedBase
-	prep *core.Prep
+	prep *coord.Prep
 }
 
 func fcgPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
@@ -482,41 +511,14 @@ func chunkedStationary(ctx context.Context, name string, a *sparse.CSR, b, x []f
 // kaczmarzPrepared holds the Kaczmarz row norms and sampling table; one
 // sweep is n row projections.
 type kaczmarzPrepared struct {
-	preparedBase
-	prep *kaczmarz.Prep
-	f32  bool
-}
-
-func kaczmarzPrepare(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-	prep, err := kaczmarz.PrepareMatrix(a)
-	if err != nil {
-		return nil, err
-	}
-	return finishKaczmarzPrepared(a, prep, opts)
-}
-
-// finishKaczmarzPrepared applies the post-PrepareMatrix option handling
-// shared by fresh preparation and store restores.
-func finishKaczmarzPrepared(a *sparse.CSR, prep *kaczmarz.Prep, opts Opts) (PreparedSystem, error) {
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return nil, err
-	}
-	if f32 {
-		// Build and validate the rounded view eagerly (norm underflow is
-		// a prepare-time error); the Prep memoizes it for every fork.
-		if _, err := kaczmarz.NewFromPrep(prep, kaczmarz.Options{Float32: true}); err != nil {
-			return nil, err
-		}
-	}
-	return &kaczmarzPrepared{preparedBase: base("kaczmarz", SPD, a), prep: prep, f32: f32}, nil
+	coordBase
 }
 
 func (p *kaczmarzPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
 	opts = opts.withDefaults()
 	s, err := kaczmarz.NewFromPrep(p.prep, kaczmarz.Options{
 		Workers: opts.Workers, Seed: opts.Seed, Beta: opts.Beta, Chunk: opts.Chunk,
-		Float32: p.f32,
+		Float32: p.a32 != nil,
 	})
 	if err != nil {
 		return Result{}, err
@@ -553,42 +555,9 @@ func (p *kaczmarzPrepared) SolveBatch(ctx context.Context, bs, xs [][]float64, o
 // distribution). One sweep is Cols coordinate steps; residuals are
 // relative normal-equation residuals ‖Aᵀ(b−Ax)‖₂/‖Aᵀb‖₂.
 type lsqPrepared struct {
-	preparedBase
-	prep       *lsq.Prep
+	coordBase
 	sequential bool
 	weighted   bool
-	f32        bool
-}
-
-func lsqPrepare(name string, sequential, weighted bool) prepareFunc {
-	return func(_ context.Context, a *sparse.CSR, opts Opts) (PreparedSystem, error) {
-		prep, err := lsq.PrepareMatrix(a)
-		if err != nil {
-			return nil, err
-		}
-		return finishLSQPrepared(name, sequential, weighted, a, prep, opts)
-	}
-}
-
-// finishLSQPrepared applies the post-PrepareMatrix option handling
-// shared by fresh preparation and store restores.
-func finishLSQPrepared(name string, sequential, weighted bool, a *sparse.CSR, prep *lsq.Prep, opts Opts) (PreparedSystem, error) {
-	f32, err := resolvePrecision(opts)
-	if err != nil {
-		return nil, err
-	}
-	if weighted || f32 {
-		// Surface alias-table and rounded-view validation at prepare
-		// time; both are memoized inside the Prep, so the serving prep
-		// cache amortizes their construction.
-		if _, err := lsq.NewFromPrep(prep, lsq.Options{NormWeighted: weighted, Float32: f32}); err != nil {
-			return nil, err
-		}
-	}
-	return &lsqPrepared{
-		preparedBase: base(name, LeastSquares, a),
-		prep:         prep, sequential: sequential, weighted: weighted, f32: f32,
-	}, nil
 }
 
 func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Result, error) {
@@ -599,7 +568,7 @@ func (p *lsqPrepared) Solve(ctx context.Context, b, x []float64, opts Opts) (Res
 	}
 	s, err := lsq.NewFromPrep(p.prep, lsq.Options{
 		Workers: workers, Seed: opts.Seed, Beta: opts.Beta,
-		NormWeighted: p.weighted, Chunk: opts.Chunk, Float32: p.f32,
+		NormWeighted: p.weighted, Chunk: opts.Chunk, Float32: p.a32 != nil,
 	})
 	if err != nil {
 		return Result{}, err

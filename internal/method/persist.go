@@ -3,9 +3,7 @@ package method
 import (
 	"fmt"
 
-	"github.com/asynclinalg/asyrgs/internal/core"
-	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
-	"github.com/asynclinalg/asyrgs/internal/lsq"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/store"
 )
@@ -46,142 +44,68 @@ func AsPersistent(m Method) (PersistentPreparer, bool) {
 	return pp, ok
 }
 
-// Payload framing: every family payload opens with a format version and
-// a family tag. The tag is defense in depth — the store key already
-// separates methods — so a blob that somehow reaches the wrong family's
-// decoder fails loudly instead of misparsing.
-const (
-	persistVersion = 1
+// persistVersion opens every payload, followed by the family tag. The
+// tag is defense in depth — the store key already separates methods — so
+// a blob that somehow reaches the wrong family's decoder fails loudly
+// instead of misparsing.
+const persistVersion = 1
 
-	familyCore     = 'c'
-	familyKaczmarz = 'k'
-	familyLSQ      = 'l'
-)
+// coordSystem is implemented by the prepared systems of the coordinate
+// families, whose per-matrix state is one coord.Prep.
+type coordSystem interface {
+	coordPrep() *coord.Prep
+}
 
-// persistHeader opens a family payload.
-func persistHeader(e *store.Enc, family byte) {
+// encodePrepared serializes a coordinate family's derived per-matrix
+// state: the header, the CSC column view when the family carries one,
+// the sampling weights W, then the divisor D when it is not W itself.
+// The alias table and the float32 view are absent: each is an O(n) or
+// O(nnz) rebuild from this state, cheaper to reconstruct than to ship and
+// re-verify.
+func encodePrepared(f *coord.Family, ps PreparedSystem) ([]byte, error) {
+	c, ok := ps.(coordSystem)
+	if !ok || c.coordPrep().Family != f {
+		return nil, fmt.Errorf("method: cannot encode %T as %s prepared state", ps, f.Name)
+	}
+	p := c.coordPrep()
+	var e store.Enc
 	e.U8(persistVersion)
-	e.U8(family)
-}
-
-// checkHeader validates a family payload's version and tag.
-func checkHeader(d *store.Dec, family byte) error {
-	if v := d.U8(); d.Err() == nil && v != persistVersion {
-		return fmt.Errorf("method: prepared-state payload version %d, want %d", v, persistVersion)
+	e.U8(f.Tag)
+	if f.Columns {
+		e.Int(p.CSC.Rows)
+		e.Int(p.CSC.Cols)
+		e.Ints(p.CSC.ColPtr)
+		e.Ints(p.CSC.RowIdx)
+		e.F64s(p.CSC.Vals)
 	}
-	if f := d.U8(); d.Err() == nil && f != family {
-		return fmt.Errorf("method: prepared-state payload family %q, want %q", f, family)
+	e.F64s(p.W)
+	if f.SeparateD {
+		e.F64s(p.D)
 	}
-	return d.Err()
-}
-
-// ---------------------------------------------------------------------------
-// AsyRGS / RGS family codec: diagonal + reciprocal. The alias table and
-// float32 view rebuild lazily (or eagerly per opts) from these.
-
-func coreEncode(ps PreparedSystem) ([]byte, error) {
-	p, ok := ps.(*corePrepared)
-	if !ok {
-		return nil, fmt.Errorf("method: cannot encode %T as core prepared state", ps)
-	}
-	diag, invD := p.prep.State()
-	var e store.Enc
-	persistHeader(&e, familyCore)
-	e.F64s(diag)
-	e.F64s(invD)
 	return e.Bytes(), nil
 }
 
-// coreDecode builds the decode hook for an AsyRGS/RGS variant; the
-// closure carries the same variant flags as its corePrepare twin so a
-// restored system finishes through identical option handling.
-func coreDecode(name string, baseOpts core.Options, sequential bool) decodeFunc {
-	return func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
-		d := store.NewDec(payload)
-		if err := checkHeader(d, familyCore); err != nil {
-			return nil, err
-		}
-		diag := d.F64s()
-		invD := d.F64s()
-		if err := d.Close(); err != nil {
-			return nil, err
-		}
-		prep, err := core.PrepFromState(a, diag, invD)
-		if err != nil {
-			return nil, err
-		}
-		return finishCorePrepared(name, baseOpts, sequential, a, prep, opts)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Kaczmarz codec: squared row norms; the alias table rebuilds in O(n)
-// at decode.
-
-func kaczmarzEncode(ps PreparedSystem) ([]byte, error) {
-	p, ok := ps.(*kaczmarzPrepared)
-	if !ok {
-		return nil, fmt.Errorf("method: cannot encode %T as kaczmarz prepared state", ps)
-	}
-	var e store.Enc
-	persistHeader(&e, familyKaczmarz)
-	e.F64s(p.prep.State())
-	return e.Bytes(), nil
-}
-
-func kaczmarzDecode(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
+// decodePrepared reads a payload encodePrepared wrote for family f and
+// restores the Prep over a through the family's own checks.
+func decodePrepared(f *coord.Family, a *sparse.CSR, payload []byte) (*coord.Prep, error) {
 	d := store.NewDec(payload)
-	if err := checkHeader(d, familyKaczmarz); err != nil {
-		return nil, err
+	if v := d.U8(); d.Err() == nil && v != persistVersion {
+		return nil, fmt.Errorf("method: prepared-state payload version %d, want %d", v, persistVersion)
 	}
-	rowNorm2 := d.F64s()
+	if t := d.U8(); d.Err() == nil && t != f.Tag {
+		return nil, fmt.Errorf("method: prepared-state payload family %q, want %q", t, f.Tag)
+	}
+	var csc *sparse.CSC
+	if f.Columns {
+		csc = &sparse.CSC{Rows: d.Int(), Cols: d.Int(), ColPtr: d.Ints(), RowIdx: d.Ints(), Vals: d.F64s()}
+	}
+	w := d.F64s()
+	div := w
+	if f.SeparateD {
+		div = d.F64s()
+	}
 	if err := d.Close(); err != nil {
 		return nil, err
 	}
-	prep, err := kaczmarz.PrepFromState(a, rowNorm2)
-	if err != nil {
-		return nil, err
-	}
-	return finishKaczmarzPrepared(a, prep, opts)
-}
-
-// ---------------------------------------------------------------------------
-// Least-squares codec: the CSC column view (the transpose pass that
-// dominates lsq preparation) plus squared column norms.
-
-func lsqEncode(ps PreparedSystem) ([]byte, error) {
-	p, ok := ps.(*lsqPrepared)
-	if !ok {
-		return nil, fmt.Errorf("method: cannot encode %T as lsq prepared state", ps)
-	}
-	csc, colNorm2 := p.prep.State()
-	var e store.Enc
-	persistHeader(&e, familyLSQ)
-	e.Int(csc.Rows)
-	e.Int(csc.Cols)
-	e.Ints(csc.ColPtr)
-	e.Ints(csc.RowIdx)
-	e.F64s(csc.Vals)
-	e.F64s(colNorm2)
-	return e.Bytes(), nil
-}
-
-// lsqDecode builds the decode hook for an lsqcd variant.
-func lsqDecode(name string, sequential, weighted bool) decodeFunc {
-	return func(a *sparse.CSR, payload []byte, opts Opts) (PreparedSystem, error) {
-		d := store.NewDec(payload)
-		if err := checkHeader(d, familyLSQ); err != nil {
-			return nil, err
-		}
-		csc := &sparse.CSC{Rows: d.Int(), Cols: d.Int(), ColPtr: d.Ints(), RowIdx: d.Ints(), Vals: d.F64s()}
-		colNorm2 := d.F64s()
-		if err := d.Close(); err != nil {
-			return nil, err
-		}
-		prep, err := lsq.PrepFromState(a, csc, colNorm2)
-		if err != nil {
-			return nil, err
-		}
-		return finishLSQPrepared(name, sequential, weighted, a, prep, opts)
-	}
+	return coord.Restore(f, a, csc, w, div)
 }

@@ -295,3 +295,52 @@ func TestAsPersistentCoverage(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodePrepared feeds arbitrary bytes to the prepared-state decoder
+// of each coordinate family (a core, a kaczmarz and an lsq entry), at
+// both precisions, seeded with real payloads. Decoding must never panic,
+// and a payload it accepts must yield a system whose one-sweep Solve does
+// not panic either: value-level damage may make the answer wrong (the
+// store's sha256 envelope guards values), never out of bounds.
+func FuzzDecodePrepared(f *testing.F) {
+	ctx := context.Background()
+	spd := workload.RandomSPD(24, 4, 1.5, 5)
+	tall := workload.RandomOverdetermined(30, 12, 3, 7)
+	targets := []struct {
+		methodName string
+		a          *sparse.CSR
+	}{{"asyrgs", spd}, {"kaczmarz", spd}, {"lsqcd", tall}}
+	pps := make([]method.PersistentPreparer, len(targets))
+	for i, tc := range targets {
+		m, err := method.Get(tc.methodName)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pps[i], _ = method.AsPersistent(m)
+		ps, err := method.Prepare(ctx, m, tc.a, method.Opts{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := pps[i].EncodePrepared(ps)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for j := range targets {
+			f.Add(payload, uint8(j))
+			f.Add(payload, uint8(j+len(targets)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, sel uint8) {
+		i := int(sel) % len(targets)
+		opts := method.Opts{Workers: 1, Seed: 3, MaxSweeps: 1}
+		if int(sel)/len(targets)%2 == 1 {
+			opts.Precision = "f32"
+		}
+		a := targets[i].a
+		ps, err := pps[i].DecodePrepared(a, payload, opts)
+		if err != nil {
+			return
+		}
+		_, _ = ps.Solve(ctx, workload.RandomRHS(a.Rows, 9), make([]float64, a.Cols), opts)
+	})
+}

@@ -10,40 +10,28 @@ import (
 	"math"
 	"testing"
 
-	"github.com/asynclinalg/asyrgs/internal/core"
-	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
-	"github.com/asynclinalg/asyrgs/internal/lsq"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/method"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
 // prepCounters snapshots every preparation counter the solver packages
-// instrument: Gram/SpGEMM builds, core diagonal preparations, Kaczmarz
-// row-norm passes and least-squares CSC builds.
+// instrument: Gram/SpGEMM builds and the coordinate families' per-matrix
+// preparations (core diagonal, Kaczmarz row norms, least-squares CSC).
 type prepCounters struct {
-	gram, core, kaczmarz, lsq uint64
+	gram, coord uint64
 }
 
 func snapshotPrep() prepCounters {
-	return prepCounters{
-		gram:     sparse.GramCount(),
-		core:     core.PrepCount(),
-		kaczmarz: kaczmarz.PrepCount(),
-		lsq:      lsq.PrepCount(),
-	}
+	return prepCounters{gram: sparse.GramCount(), coord: coord.PrepCount()}
 }
 
 func (c prepCounters) delta(later prepCounters) prepCounters {
-	return prepCounters{
-		gram:     later.gram - c.gram,
-		core:     later.core - c.core,
-		kaczmarz: later.kaczmarz - c.kaczmarz,
-		lsq:      later.lsq - c.lsq,
-	}
+	return prepCounters{gram: later.gram - c.gram, coord: later.coord - c.coord}
 }
 
-func (c prepCounters) total() uint64 { return c.gram + c.core + c.kaczmarz + c.lsq }
+func (c prepCounters) total() uint64 { return c.gram + c.coord }
 
 // TestPreparedReuseZeroReprep is the pipeline's core guarantee: after
 // Prepare, any number of solves — and every right-hand side of a batch —

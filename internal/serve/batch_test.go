@@ -9,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/asynclinalg/asyrgs/internal/core"
-	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
-	"github.com/asynclinalg/asyrgs/internal/lsq"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/sparse"
 )
 
@@ -92,7 +90,7 @@ func TestPrepCacheReuse(t *testing.T) {
 		t.Fatal("first request cannot hit the prep cache")
 	}
 
-	before := kaczmarz.PrepCount() + core.PrepCount() + lsq.PrepCount() + sparse.GramCount()
+	before := coord.PrepCount() + sparse.GramCount()
 	req.RHSSeed = 42
 	out2, resp := postSolve(t, ts, req)
 	if resp.StatusCode != http.StatusOK {
@@ -101,7 +99,7 @@ func TestPrepCacheReuse(t *testing.T) {
 	if !out2.PrepHit || !out2.CacheHit {
 		t.Fatalf("second request must hit both caches: %+v", out2)
 	}
-	if after := kaczmarz.PrepCount() + core.PrepCount() + lsq.PrepCount() + sparse.GramCount(); after != before {
+	if after := coord.PrepCount() + sparse.GramCount(); after != before {
 		t.Fatalf("warm request re-prepared state: %d preparations", after-before)
 	}
 

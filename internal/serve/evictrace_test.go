@@ -10,8 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/asynclinalg/asyrgs/internal/core"
-	"github.com/asynclinalg/asyrgs/internal/kaczmarz"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 )
 
 // TestPrepCacheEvictionRace: with a prepared-system LRU of capacity 1,
@@ -32,7 +31,7 @@ func TestPrepCacheEvictionRace(t *testing.T) {
 		{Kind: "randomspd", N: 100, NNZ: 5, Seed: 32},
 	}
 	methods := []string{"asyrgs", "kaczmarz"}
-	prepsBefore := core.PrepCount() + kaczmarz.PrepCount()
+	prepsBefore := coord.PrepCount()
 
 	const clients, perClient = 8, 6
 	var wg sync.WaitGroup
@@ -102,7 +101,7 @@ func TestPrepCacheEvictionRace(t *testing.T) {
 	}
 	// The exactness invariant: one preparation per miss, none double-run
 	// by an eviction racing the build, none lost.
-	prepped := core.PrepCount() + kaczmarz.PrepCount() - prepsBefore
+	prepped := coord.PrepCount() - prepsBefore
 	if prepped != stats.PrepCache.Misses {
 		t.Fatalf("preparations (%d) != prep-cache misses (%d): eviction raced a build",
 			prepped, stats.PrepCache.Misses)

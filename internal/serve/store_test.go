@@ -10,7 +10,7 @@ import (
 	"net/http"
 	"testing"
 
-	"github.com/asynclinalg/asyrgs/internal/core"
+	"github.com/asynclinalg/asyrgs/internal/coord"
 	"github.com/asynclinalg/asyrgs/internal/store"
 )
 
@@ -69,7 +69,7 @@ func TestPrepStoreRestoreSkipsPrepare(t *testing.T) {
 	ts := newTestServer(t, Config{PrepStore: st2})
 	defer ts.Close()
 
-	before := core.PrepCount()
+	before := coord.PrepCount()
 	out, resp := postSolve(t, ts, SolveRequest{
 		Matrix: storeSpec(), Method: "asyrgs", Tol: 1e-6, MaxSweeps: 3000, Workers: 2,
 	})
@@ -82,7 +82,7 @@ func TestPrepStoreRestoreSkipsPrepare(t *testing.T) {
 	if out.PrepHit {
 		t.Fatal("restore is a prep-LRU miss, not a hit")
 	}
-	if d := core.PrepCount() - before; d != 0 {
+	if d := coord.PrepCount() - before; d != 0 {
 		t.Fatalf("restore ran %d instrumented preparations, want 0", d)
 	}
 	if !out.Converged {
