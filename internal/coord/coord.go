@@ -16,12 +16,9 @@
 //     partitioned), a pure function of (seed, index), so every worker
 //     count and chunk size replays the identical direction multiset.
 //   - Delay is the observed-asynchrony bookkeeping (τ̂ and its histogram).
-//   - SizeFor sizes the claimed chunk from the budget and the probed L2
-//     cache.
-//   - Prep is the per-matrix state every family prepares once and its
-//     solvers read: the matrix, the per-line sampling weights and
-//     divisor, and the memoized alias table and float32 view. Each family
-//     describes its own state with a Family.
+//   - SizeFor sizes the claimed chunk from the budget and the L2 cache.
+//   - Prep is the per-matrix state every family prepares once (matrix,
+//     per-line sampling weights and divisor, alias table, float32 view).
 //
 // A family supplies its update rule as a Body, which Run calls once per
 // claimed chunk. The family picks the rule's precision and atomicity

@@ -24,10 +24,8 @@
 // iteration-claiming loop, the direction samplers and the delay
 // bookkeeping are the shared coordinate engine in internal/coord; this
 // package supplies Algorithm 1's update rule and the solver around it.
-// The per-matrix prepared state is coord.Prep, shared with the other
-// coordinate families: PrepareMatrix fills it with the diagonal (the
-// sampling weights) and its reciprocal (the divisor), and Family
-// describes it to coord.
+// The prepared state is the families' shared coord.Prep, with the
+// diagonal as sampling weights and its reciprocal as divisor.
 package core
 
 import (

@@ -5,10 +5,9 @@
 // a consistent system, while AsyRGS descends along coordinates of an SPD
 // system; both get linear rates from randomization. The projection is an
 // update rule of the shared coordinate engine (internal/coord), which
-// owns the claiming loop and the row sampler. The per-matrix prepared
-// state is coord.Prep, shared with the other coordinate families:
-// PrepareMatrix fills it with the squared row norms, which are both the
-// sampling weights and the projection divisor.
+// owns the claiming loop and the row sampler. The prepared state is the
+// families' shared coord.Prep, with the squared row norms as sampling
+// weights and divisor.
 package kaczmarz
 
 import (

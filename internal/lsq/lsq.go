@@ -17,10 +17,8 @@
 // guarantees transfer with ρ₂ computed from X = AᵀA (Theorem 5). Both
 // iterations are update rules of the shared coordinate engine
 // (internal/coord), which owns the claiming loop and the column sampler.
-// The per-matrix prepared state is coord.Prep, shared with the other
-// coordinate families: PrepareMatrix fills it with the CSC column view
-// and the squared column norms, which are both the sampling weights and
-// the step divisor.
+// The prepared state is the families' shared coord.Prep: the CSC column
+// view, and the squared column norms as sampling weights and divisor.
 package lsq
 
 import (
@@ -314,18 +312,13 @@ func (s *Solver) residual(x, b []float64) []float64 {
 		s.r = make([]float64, s.a.Rows)
 	}
 	r := s.r
-	s.mulVec(r, x)
-	vec.Sub(r, b, r)
-	return r
-}
-
-// mulVec computes r ← A·x through the active-precision view.
-func (s *Solver) mulVec(r, x []float64) {
 	if s.a32 != nil {
 		s.a32.MulVec(r, x)
 	} else {
 		s.a.MulVec(r, x)
 	}
+	vec.Sub(r, b, r)
+	return r
 }
 
 // LSQResidual returns ‖Aᵀ(b − A·x)‖₂, the least-squares optimality

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/asynclinalg/asyrgs/internal/method"
+	"github.com/asynclinalg/asyrgs/internal/sparse"
 	"github.com/asynclinalg/asyrgs/internal/workload"
 )
 
@@ -70,6 +71,15 @@ var goldenResiduals = map[string]uint64{
 	"lsqcd-weighted/f32": 0x3f82e57f046114e9,
 	"lsqcd-async/f64":    0x3f763287ca150667,
 	"lsqcd-async/f32":    0x3f763287c637ada0,
+}
+
+// goldenResidualsV3 replaces entries of goldenResiduals in GOAMD64=v3
+// builds, whose eight-accumulator float32 dot kernel sums the rounded
+// system's residual in another order.
+var goldenResidualsV3 = map[string]uint64{
+	"lsqcd/f32":          0x3f763287c637ada4,
+	"lsqcd-weighted/f32": 0x3f82e57f046114e4,
+	"lsqcd-async/f32":    0x3f763287c637ada4,
 }
 
 // TestGoldenTrajectories runs every deterministic configuration (one
@@ -141,7 +151,11 @@ func TestGoldenTrajectories(t *testing.T) {
 				if want := goldenTrajectories[key]; got != want {
 					t.Fatalf("trajectory digest %#x, pinned %#x", got, want)
 				}
-				if want, ok := goldenResiduals[key]; ok {
+				want, ok := goldenResiduals[key]
+				if v3, ok3 := goldenResidualsV3[key]; ok3 && sparse.KernelName() == "unroll8-v3" {
+					want = v3
+				}
+				if ok {
 					if bits := math.Float64bits(res.Residual); bits != want {
 						t.Fatalf("residual bits %#x (%v), pinned %#x", bits, res.Residual, want)
 					}
